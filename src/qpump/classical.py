@@ -26,9 +26,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import MaxEventsExceeded, RegionTouchesDiscontinuity
-from .quadrature import midpoint_grid
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI, midpoint_grid
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,10 @@ from .errors import (EnergyAtBandEdge, GridTooCoarse, MaxEventsExceeded,
 from .classical import (PlowSpec, partition_disagreements, plow_charge_bpt,
                         plow_charge_direct)
 from .models import MODEL_KINDS, ModelSpec, make_pump
-from .quadrature import QuadratureSpec
+from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import PumpCycle, TwoChannelParams
 from .transport import (ThermalState, birman_krein_residual, bpt_current,
                         cycle_charge, dissipation_current, transport_report)
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
 from .quadrature import QuadratureSpec, gauss_legendre, midpoint_grid
-from .smatrix import PumpCycle, _energy_shift
-from .transport import ThermalState, cycle_charge
-
-TWO_PI = 2.0 * math.pi
+from .smatrix import PumpCycle
+from .transport import ThermalState, _offdiag, cycle_charge
 
 
 def _window(cycle: PumpCycle) -> tuple[float, float]:
@@ -55,13 +53,6 @@ def _check_pulse(cycle: PumpCycle, mu: float, tol: float = 1e-6) -> np.ndarray:
     return left
 
 
-def _offdiag_weight(cycle: PumpCycle, channel: int, mu: float, time: float,
-                    q: QuadratureSpec) -> float:
-    shift = _energy_shift(cycle, mu, time, q)
-    row = shift[channel]
-    return float(np.sum(np.abs(row) ** 2) - row[channel].real ** 2)
-
-
 def mean_transferred_charge(cycle: PumpCycle, state: ThermalState,
                             q: QuadratureSpec = QuadratureSpec(),
                             n_time: int | None = None) -> np.ndarray:
@@ -85,9 +76,9 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
         return 0.0
     t0, t1 = _window(cycle)
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    total = sum(1.0 - abs(cycle.sample(state.mu, t)[channel, channel]) ** 2
-                for t in times)
-    return state.temperature / math.pi * total * dt
+    diag = cycle.sample_grid(state.mu, times)[:, 0, channel, channel]
+    total = sum(1.0 - np.abs(diag) ** 2)
+    return float(state.temperature / math.pi * total * dt)
 
 
 def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
@@ -102,9 +93,8 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     t0, t1 = _window(cycle)
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    total = sum(_offdiag_weight(cycle, channel, state.mu, t, q)
-                for t in times)
-    return state.beta / (12.0 * math.pi) * total * dt
+    total = sum(_offdiag(cycle, state.mu, times, q)[:, channel])
+    return float(state.beta / (12.0 * math.pi) * total * dt)
 
 
 def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,9 +131,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     times, weights = _simpson(t0, t1, n_time or q.n_shot_time)
     n = times.size
 
-    rows = np.empty((n, cycle.n_channels), dtype=np.complex128)
-    for i, t in enumerate(times):
-        rows[i] = cycle.sample(mu, t)[channel]
+    rows = cycle.sample_grid(mu, times)[:, 0, channel]
     gram = rows @ rows.conj().T
     bmat = 1.0 - np.abs(gram) ** 2
     np.clip(bmat, 0.0, None, out=bmat)
@@ -156,12 +144,9 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     near = ~far
     if np.any(near):
         ii, jj = np.nonzero(near)
-        mids = {}
-        for a, b in zip(ii, jj):
-            tm = 0.5 * (times[a] + times[b])
-            if tm not in mids:
-                mids[tm] = _offdiag_weight(cycle, channel, mu, tm, q)
-            kernel[a, b] = mids[tm]
+        mids, where = np.unique(0.5 * (times[ii] + times[jj]),
+                                return_inverse=True)
+        kernel[ii, jj] = _offdiag(cycle, mu, mids, q)[where, channel]
 
     interior = float(weights @ kernel @ weights)
 
@@ -205,24 +190,23 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
     x_nodes, x_weights = gauss_legendre(-kernel_reach, kernel_reach, n_kernel)
 
-    def row(t: float) -> np.ndarray:
-        return cycle.sample(mu, t)[channel]
-
-    double = 0.0
-    for tm in times:
-        inner = 0.0
-        for x, wx in zip(x_nodes, x_weights):
-            if abs(x) < 1e-4:
-                ratio = x / math.sinh(x) if x != 0.0 else 1.0
-                inner += wx * _offdiag_weight(cycle, channel, mu, tm, q) \
-                    * ratio ** 2 / pi_t ** 2
-                continue
-            s = x / pi_t
-            overlap = np.vdot(row(tm - 0.5 * s), row(tm + 0.5 * s))
-            b = 1.0 - abs(overlap) ** 2
-            inner += wx * b / math.sinh(x) ** 2
-        double += inner * pi_t
-    double *= dt / (4.0 * math.pi ** 2)
+    near = np.abs(x_nodes) < 1e-4
+    x, wx = x_nodes[~near], x_weights[~near]
+    s = x / pi_t
+    pairs = np.concatenate([(times[:, None] - 0.5 * s).ravel(),
+                            (times[:, None] + 0.5 * s).ravel()])
+    rows = cycle.sample_grid(mu, pairs)[:, 0, channel]
+    before, after = rows.reshape(2, times.size, x.size, -1)
+    overlap = np.sum(before.conj() * after, axis=-1)
+    b = 1.0 - np.abs(overlap) ** 2
+    inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
+    if np.any(near):
+        xn = x_nodes[near]
+        ratio = np.divide(xn, np.sinh(xn), out=np.ones_like(xn),
+                          where=xn != 0.0)
+        inner += _offdiag(cycle, mu, times, q)[:, channel] \
+            * np.sum(x_weights[near] * ratio ** 2) / pi_t ** 2
+    double = float(np.sum(inner)) * pi_t * dt / (4.0 * math.pi ** 2)
 
     return single + double
 

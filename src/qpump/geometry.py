@@ -24,10 +24,8 @@ import numpy as np
 
 from .errors import (EnergyAtBandEdge, GridTooCoarse, PhaseUnwrapFailure,
                      RegionTouchesDiscontinuity)
-from .quadrature import QuadratureSpec, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid
 from .smatrix import PumpCycle
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ rigid translation of the scatterer), a battery shifts the transmission
 phases by phi(t) (a time-dependent flux / EMF), a sink multiplies the
 whole matrix by exp(i gamma(t)), and the optimal pump combines snowplow
 and battery phases so that the energy-shift matrix is diagonal.
-Potential models build S(E) for piecewise-constant potentials by a
+Phase models also provide `evaluate_grid`: each drive and the dispersion
+are called once per distinct time or energy, on scalars, and the
+matrices of the whole grid are built by broadcasting.  Potential models
+build S(E) for piecewise-constant potentials by a
 transfer-matrix product; the bicycle pump (two valve barriers seesawing
 around a piston plateau) is the workhorse example of quantized
 transport.
@@ -21,10 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyAtBandEdge, NonUnitary
-from .quadrature import QuadratureSpec
-from .smatrix import PumpCycle, TwoChannelParams, build_two_channel, _energy_shift
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI, QuadratureSpec
+from .smatrix import (PumpCycle, TwoChannelParams, build_two_channel, stencil,
+                      two_channel_matrices)
 
 
 def default_dispersion(energy: float) -> float:
@@ -132,6 +134,19 @@ def _interface(k_from: complex, k_to: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phase models on the two-channel angles
 
+def _values(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """f at each point of a 1-d array, called on scalars."""
+    return np.array([f(x) for x in xs], dtype=float)
+
+
+def _over_energies(per_time: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Repeat the (N, n, n) matrices of an energy-independent cycle over
+    M energies: shape (N, M, n, n), read-only."""
+    n_t = per_time.shape[0]
+    return np.broadcast_to(per_time[:, None],
+                           (n_t, energies.size) + per_time.shape[1:])
+
+
 def make_snowplow_cycle(base: TwoChannelParams, xi: Callable[[float], float],
                         k_of_e: Callable[[float], float] = default_dispersion,
                         period: float | None = None,
@@ -143,7 +158,13 @@ def make_snowplow_cycle(base: TwoChannelParams, xi: Callable[[float], float],
         return build_two_channel(TwoChannelParams(
             theta=base.theta, alpha=alpha, phi=base.phi, gamma=base.gamma))
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="snowplow")
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        alpha = base.alpha + 2.0 * _values(k_of_e, energies) \
+            * _values(xi, times)[:, None]
+        return two_channel_matrices(base.theta, alpha, base.phi, base.gamma)
+
+    return PumpCycle(2, evaluate, period=period, window=window,
+                     label="snowplow", evaluate_grid=evaluate_grid)
 
 
 def make_battery_cycle(base: TwoChannelParams, phi: Callable[[float], float],
@@ -156,7 +177,13 @@ def make_battery_cycle(base: TwoChannelParams, phi: Callable[[float], float],
             theta=base.theta, alpha=base.alpha,
             phi=base.phi + phi(t), gamma=base.gamma))
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="battery")
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        phis = base.phi + _values(phi, times)
+        return _over_energies(two_channel_matrices(
+            base.theta, base.alpha, phis, base.gamma), energies)
+
+    return PumpCycle(2, evaluate, period=period, window=window,
+                     label="battery", evaluate_grid=evaluate_grid)
 
 
 def make_sink_cycle(base: TwoChannelParams, gamma: Callable[[float], float],
@@ -169,7 +196,12 @@ def make_sink_cycle(base: TwoChannelParams, gamma: Callable[[float], float],
     def evaluate(e: float, t: float) -> np.ndarray:
         return np.exp(1j * gamma(t)) * s0
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="sink")
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        phases = np.exp(1j * _values(gamma, times))
+        return _over_energies(phases[:, None, None] * s0, energies)
+
+    return PumpCycle(2, evaluate, period=period, window=window, label="sink",
+                     evaluate_grid=evaluate_grid)
 
 
 def make_uturn_cycle(ell: float, flux: Callable[[float], float],
@@ -187,7 +219,16 @@ def make_uturn_cycle(ell: float, flux: Callable[[float], float],
         return np.diag([np.exp(1j * (optical + f)),
                         np.exp(1j * (optical - f))]).astype(np.complex128)
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="uturn")
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        optical = _values(k_of_e, energies) * ell
+        f = _values(flux, times)[:, None]
+        s = np.zeros((times.size, energies.size, 2, 2), dtype=np.complex128)
+        s[..., 0, 0] = np.exp(1j * (optical + f))
+        s[..., 1, 1] = np.exp(1j * (optical - f))
+        return s
+
+    return PumpCycle(2, evaluate, period=period, window=window, label="uturn",
+                     evaluate_grid=evaluate_grid)
 
 
 def make_optimal_cycle(base: TwoChannelParams, phi: Callable[[float], float],
@@ -205,7 +246,13 @@ def make_optimal_cycle(base: TwoChannelParams, phi: Callable[[float], float],
         f = phi(t)
         return np.diag([np.exp(-1j * f), np.exp(1j * f)]) @ s0
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="optimal")
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        f = _values(phi, times)
+        rows = np.stack([np.exp(-1j * f), np.exp(1j * f)], axis=-1)
+        return _over_energies(rows[:, :, None] * s0, energies)
+
+    return PumpCycle(2, evaluate, period=period, window=window,
+                     label="optimal", evaluate_grid=evaluate_grid)
 
 
 def make_custom_two_channel(theta: Callable[[float], float],
@@ -216,11 +263,20 @@ def make_custom_two_channel(theta: Callable[[float], float],
                             window: tuple[float, float] | None = None) -> PumpCycle:
     """Arbitrary closed loop in the two-channel angle space."""
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        return build_two_channel(TwoChannelParams(
-            theta=theta(t), alpha=alpha(t), phi=phi(t), gamma=gamma(t)))
+    def params(t: float) -> TwoChannelParams:
+        return TwoChannelParams(theta=theta(t), alpha=alpha(t), phi=phi(t),
+                                gamma=gamma(t))
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="custom")
+    def evaluate(e: float, t: float) -> np.ndarray:
+        return build_two_channel(params(t))
+
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        angles = np.array([[p.theta, p.alpha, p.phi, p.gamma]
+                           for p in map(params, times)], dtype=float)
+        return _over_energies(two_channel_matrices(*angles.T), energies)
+
+    return PumpCycle(2, evaluate, period=period, window=window, label="custom",
+                     evaluate_grid=evaluate_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +484,7 @@ def galilean_check(base: TwoChannelParams, k_f: float, xi_dot: float,
     """
     mu = 0.5 * k_f ** 2
     cycle = make_snowplow_cycle(base, xi=lambda t: xi_dot * t)
-    shift = _energy_shift(cycle, mu, 0.0, q)
+    shift = stencil(cycle, mu, 0.0, q).shift[0, 0]
     bpt = float(shift[0, 0].real) / TWO_PI
     galilean = -2.0 * k_f * xi_dot * math.cos(base.theta) ** 2 / TWO_PI
     return GalileanCheck(bpt_value=bpt, galilean_value=galilean,
@@ -525,8 +581,15 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         geometry = BicycleGeometry(length=p["length"], barrier=p["barrier"],
                                    delta=p["delta"])
         return make_bicycle_cycle(geometry, period=p["period"])
-    # custom-two-channel
+    # custom-two-channel: theta(t) sweeps theta_base +- theta_amp
     period = p["period"]
+    swing = abs(p["theta_amp"])
+    for end in (p["theta_base"] - swing, p["theta_base"] + swing):
+        try:
+            TwoChannelParams(theta=end)
+        except ValueError:
+            raise ValueError(f"theta_base +- theta_amp reaches {end:g}, "
+                             "outside [0, pi/2]") from None
 
     def angle(bias: float, amp: float) -> Callable[[float], float]:
         return lambda t: bias + amp * math.sin(TWO_PI * t / period)

@@ -1,10 +1,13 @@
-"""Step sizes, grids and tolerances shared by the numerical routines."""
+"""Step sizes, grids, tolerances and constants shared by the numerical routines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,6 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be at least 16")
         if self.max_events < 1:
             raise ValueError("max_events must be at least 1")
-
-    def scaled_steps(self, factor: float) -> "QuadratureSpec":
-        """Copy with both finite-difference steps multiplied by `factor`."""
-        return replace(self, h_e_rel=self.h_e_rel * factor,
-                       h_t_rel=self.h_t_rel * factor)
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,23 +12,26 @@ and from the time-energy curvature, their commutator
 
     curvature = i [time_delay, energy_shift].
 
-Derivatives are second-order central differences; optional Richardson
-extrapolation upgrades them to fourth order.  The anti-Hermitian residue
-of the difference quotients is discarded and its norm reported as a
-quality metric.
+Every derivative comes from one kernel, `stencil`, which works on a
+whole grid of (t, E) nodes at once.  It samples S through
+`PumpCycle.sample_grid` at the nodes and at t +- h_t (at E +- h_e too
+when the delay is wanted), checks every sample for unitarity and forms
+second-order central differences; optional Richardson extrapolation
+upgrades them to fourth order.  The anti-Hermitian residue of the
+difference quotients is discarded and its worst norm returned as a
+quality metric.  `differential_data`, `curvature_identity` and all
+transport and counting currents are built on this kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonUnitary, StencilOutOfDomain
-from .quadrature import QuadratureSpec
-
-TWO_PI = 2.0 * np.pi
+from .quadrature import TWO_PI, QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,13 @@ class PumpCycle:
     """A family S(E, t) of frozen scattering matrices.
 
     `evaluate(E, t)` must return an (n_channels, n_channels) complex
-    unitary matrix.  Periodic cycles carry a finite `period`; pulse
-    cycles instead carry a `window` outside which the scatterer is
-    static.  Families with neither (open protocols) support differential
-    operations only.
+    unitary matrix.  The optional `evaluate_grid(energies, times)` takes
+    1-d arrays of M energies and N times and returns all N x M matrices
+    at once, shape (N, M, n_channels, n_channels), possibly as a
+    read-only view; without it `sample_grid` loops over `evaluate`.
+    Periodic cycles carry a finite `period`; pulse cycles instead carry
+    a `window` outside which the scatterer is static.  Families with
+    neither (open protocols) support differential operations only.
     """
 
     n_channels: int
@@ -47,6 +53,7 @@ class PumpCycle:
     period: float | None = None
     window: tuple[float, float] | None = None
     label: str = ""
+    evaluate_grid: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.n_channels < 1:
@@ -69,6 +76,29 @@ class PumpCycle:
         if s.shape != (self.n_channels, self.n_channels):
             raise ValueError(f"evaluate returned shape {s.shape}, "
                              f"expected ({self.n_channels}, {self.n_channels})")
+        return s
+
+    def sample_grid(self, energies, times) -> np.ndarray:
+        """S at every (times[k], energies[m]), shape (N, M, n, n).
+
+        The result may be a read-only view: energy-independent models
+        broadcast one matrix per time over all energies.  Copy it before
+        writing into it.
+        """
+        energies = np.ravel(np.asarray(energies, dtype=float))
+        times = np.ravel(np.asarray(times, dtype=float))
+        n = self.n_channels
+        shape = (times.size, energies.size, n, n)
+        if self.evaluate_grid is None:
+            s = np.empty(shape, dtype=np.complex128)
+            for k, t in enumerate(times):
+                for m, e in enumerate(energies):
+                    s[k, m] = self.sample(e, t)
+            return s
+        s = np.asarray(self.evaluate_grid(energies, times), dtype=np.complex128)
+        if s.shape != shape:
+            raise ValueError(f"evaluate_grid returned shape {s.shape}, "
+                             f"expected {shape}")
         return s
 
 
@@ -109,11 +139,22 @@ class DifferentialData:
 
 
 def build_two_channel(params: TwoChannelParams) -> np.ndarray:
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    ea, ep = np.exp(1j * params.alpha), np.exp(1j * params.phi)
-    m = np.array([[ea * c, 1j * s / ep],
-                  [1j * s * ep, c / ea]], dtype=np.complex128)
-    return np.exp(1j * params.gamma) * m
+    return two_channel_matrices(params.theta, params.alpha, params.phi,
+                                params.gamma)
+
+
+def two_channel_matrices(theta, alpha, phi, gamma) -> np.ndarray:
+    """`build_two_channel` over broadcast angle arrays, shape (..., 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    ea, ep = np.exp(1j * np.asarray(alpha)), np.exp(1j * np.asarray(phi))
+    eg = np.exp(1j * np.asarray(gamma))
+    shape = np.broadcast_shapes(c.shape, ea.shape, ep.shape, eg.shape)
+    m = np.empty(shape + (2, 2), dtype=np.complex128)
+    m[..., 0, 0] = ea * c
+    m[..., 0, 1] = 1j * s / ep
+    m[..., 1, 0] = 1j * s * ep
+    m[..., 1, 1] = c / ea
+    return eg[..., None, None] * m
 
 
 def decompose_two_channel(s: np.ndarray, tol: float = 1e-10) -> TwoChannelParams:
@@ -137,52 +178,96 @@ def decompose_two_channel(s: np.ndarray, tol: float = 1e-10) -> TwoChannelParams
     return TwoChannelParams(theta=theta, alpha=alpha, phi=phi, gamma=gamma)
 
 
+def _unitarity_defect(s: np.ndarray) -> float:
+    """Worst max-norm of S S^dagger - 1 over a stack of matrices."""
+    n = s.shape[-1]
+    return float(np.max(np.abs(s @ _dagger(s) - np.eye(n)), initial=0.0))
+
+
 def _check_unitary(s: np.ndarray, tol: float) -> None:
-    n = s.shape[0]
-    defect = np.max(np.abs(s @ s.conj().T - np.eye(n)))
+    defect = _unitarity_defect(s)
     if defect > tol:
         raise NonUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
 
 
-def _central(cycle: PumpCycle, e: float, t: float, he: float, ht: float,
-             tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central-difference dS/dt and dS/dE, and the centre sample."""
-    s0 = cycle.sample(e, t)
-    sp_t = cycle.sample(e, t + ht)
-    sm_t = cycle.sample(e, t - ht)
-    sp_e = cycle.sample(e + he, t)
-    sm_e = cycle.sample(e - he, t)
-    for s in (s0, sp_t, sm_t, sp_e, sm_e):
-        _check_unitary(s, tol)
-    ds_dt = (sp_t - sm_t) / (2.0 * ht)
-    ds_de = (sp_e - sm_e) / (2.0 * he)
-    return ds_dt, ds_de, s0
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _hermitize(a: np.ndarray) -> tuple[np.ndarray, float]:
-    h = 0.5 * (a + a.conj().T)
-    return h, float(np.max(np.abs(a - h)))
+    h = 0.5 * (a + _dagger(a))
+    return h, float(np.max(np.abs(a - h), initial=0.0))
 
 
-def _shift_and_delay(cycle: PumpCycle, e: float, t: float, he: float,
-                     ht: float, q: QuadratureSpec
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    ds_dt, ds_de, s0 = _central(cycle, e, t, he, ht, q.unitarity_tol)
-    if q.richardson:
-        ds_dt2, ds_de2, _ = _central(cycle, e, t, he / 2, ht / 2,
-                                     q.unitarity_tol)
-        ds_dt = (4.0 * ds_dt2 - ds_dt) / 3.0
-        ds_de = (4.0 * ds_de2 - ds_de) / 3.0
-    sh = s0.conj().T
-    shift, r1 = _hermitize(1j * ds_dt @ sh)
-    delay, r2 = _hermitize(-1j * ds_de @ sh)
-    return shift, delay, max(r1, r2)
+def _steps(cycle: PumpCycle, energies, q: QuadratureSpec):
+    """Energy step h_e_rel * max(E, 1) per energy, and the time step."""
+    return q.h_e_rel * np.maximum(energies, 1.0), q.h_t_rel * cycle.time_scale
 
 
-def _steps(cycle: PumpCycle, e: float, q: QuadratureSpec) -> tuple[float, float]:
-    he = q.h_e_rel * max(e, 1.0)
-    ht = q.h_t_rel * cycle.time_scale
-    return he, ht
+@dataclass(frozen=True)
+class Stencil:
+    """Difference data of a cycle on a grid of N times x M energies.
+
+    Matrix arrays have shape (N, M, n, n).  `samples` stacks S at the
+    nodes, at t + h_t, t - h_t and, under Richardson, at t + h_t / 2,
+    t - h_t / 2, in that order.  `delay` and `ds_de` are None unless the
+    delay was requested.  `residual` is the worst Hermitization
+    correction over all nodes.
+    """
+
+    shift: np.ndarray
+    delay: np.ndarray | None
+    ds_dt: np.ndarray
+    ds_de: np.ndarray | None
+    samples: np.ndarray
+    residual: float
+    h_t: float
+
+
+def _difference(pm: np.ndarray, h) -> np.ndarray:
+    """Central difference from samples at +h, -h [, +h/2, -h/2]."""
+    d = (pm[0] - pm[1]) / (2.0 * h)
+    if len(pm) == 4:
+        d = (4.0 * (pm[2] - pm[3]) / h - d) / 3.0
+    return d
+
+
+def stencil(cycle: PumpCycle, energies, times,
+            q: QuadratureSpec = QuadratureSpec(),
+            delay: bool = False) -> Stencil:
+    """Energy shift (and on request the time delay) on a node grid.
+
+    Steps are h_t = h_t_rel * time_scale and h_e = h_e_rel * max(E, 1).
+    Every sample must be unitary to `q.unitarity_tol`, otherwise
+    NonUnitary is raised; the Hermitization residual is returned, not
+    checked.
+    """
+    energies = np.ravel(np.asarray(energies, dtype=float))
+    times = np.ravel(np.asarray(times, dtype=float))
+    n_t, n_e, n = times.size, energies.size, cycle.n_channels
+    he, ht = _steps(cycle, energies, q)
+    steps_t = (ht, ht / 2) if q.richardson else (ht,)
+    grid_t = np.concatenate([times] + [times + d for h in steps_t
+                                       for d in (h, -h)])
+    samples = cycle.sample_grid(energies, grid_t).reshape(-1, n_t, n_e, n, n)
+    _check_unitary(samples, q.unitarity_tol)
+    s0h = _dagger(samples[0])
+    ds_dt = _difference(samples[1:], ht)
+    shift, resid = _hermitize(1j * ds_dt @ s0h)
+
+    delay_h = ds_de = None
+    if delay:
+        steps_e = (he, he / 2) if q.richardson else (he,)
+        grid_e = np.concatenate([energies + d for h in steps_e
+                                 for d in (h, -h)])
+        around = cycle.sample_grid(grid_e, times)
+        around = around.reshape(n_t, -1, n_e, n, n).swapaxes(0, 1)
+        _check_unitary(around, q.unitarity_tol)
+        ds_de = _difference(around, he[:, None, None])
+        delay_h, resid_e = _hermitize(-1j * ds_de @ s0h)
+        resid = max(resid, resid_e)
+    return Stencil(shift=shift, delay=delay_h, ds_dt=ds_dt, ds_de=ds_de,
+                   samples=samples, residual=resid, h_t=ht)
 
 
 def differential_data(cycle: PumpCycle, energy: float, time: float,
@@ -200,7 +285,8 @@ def differential_data(cycle: PumpCycle, energy: float, time: float,
     if energy <= he:
         raise StencilOutOfDomain(
             f"energy {energy:.3e} within one step {he:.3e} of the band bottom")
-    shift, delay, resid = _shift_and_delay(cycle, energy, time, he, ht, q)
+    st = stencil(cycle, energy, time, q, delay=True)
+    shift, delay, resid = st.shift[0, 0], st.delay[0, 0], st.residual
     scale = max(1.0, float(np.max(np.abs(shift))), float(np.max(np.abs(delay))))
     h_rel = max(ht / cycle.time_scale, he / max(energy, 1.0))
     budget = 10.0 * q.hermiticity_tol + 100.0 * h_rel ** 2 * scale ** 3
@@ -212,23 +298,6 @@ def differential_data(cycle: PumpCycle, energy: float, time: float,
     return DifferentialData(energy=energy, time=time, energy_shift=shift,
                             time_delay=delay, curvature=curvature,
                             h_e=he, h_t=ht, hermitization_residual=resid)
-
-
-def _energy_shift(cycle: PumpCycle, e: float, t: float,
-                  q: QuadratureSpec) -> np.ndarray:
-    """Fast path: Hermitized i dS/dt S^dagger only (two stencil samples)."""
-    _, ht = _steps(cycle, e, q)
-    sp = cycle.sample(e, t + ht)
-    sm = cycle.sample(e, t - ht)
-    s0 = cycle.sample(e, t)
-    _check_unitary(s0, q.unitarity_tol)
-    ds_dt = (sp - sm) / (2.0 * ht)
-    if q.richardson:
-        sp2 = cycle.sample(e, t + ht / 2)
-        sm2 = cycle.sample(e, t - ht / 2)
-        ds_dt = (4.0 * (sp2 - sm2) / ht - ds_dt) / 3.0
-    shift, _ = _hermitize(1j * ds_dt @ s0.conj().T)
-    return shift
 
 
 @dataclass(frozen=True)
@@ -257,13 +326,15 @@ def curvature_identity(cycle: PumpCycle, energy: float, time: float,
     dd = differential_data(cycle, energy, time, q)
     commutator = dd.curvature
 
-    ds_dt, ds_de, _ = _central(cycle, energy, time, he, ht, q.unitarity_tol)
-    mixed, _ = _hermitize(1j * (ds_dt @ ds_de.conj().T - ds_de @ ds_dt.conj().T))
+    plain = stencil(cycle, energy, time, replace(q, richardson=False),
+                    delay=True)
+    ds_dt, ds_de = plain.ds_dt[0, 0], plain.ds_de[0, 0]
+    mixed, _ = _hermitize(1j * (ds_dt @ _dagger(ds_de) - ds_de @ _dagger(ds_dt)))
 
-    shift_p = _shift_and_delay(cycle, energy + he, time, he, ht, q)[0]
-    shift_m = _shift_and_delay(cycle, energy - he, time, he, ht, q)[0]
-    delay_p = _shift_and_delay(cycle, energy, time + ht, he, ht, q)[1]
-    delay_m = _shift_and_delay(cycle, energy, time - ht, he, ht, q)[1]
+    shift_p, shift_m = stencil(cycle, [energy + he, energy - he], time,
+                               q).shift[0]
+    delay_p, delay_m = stencil(cycle, energy, [time + ht, time - ht], q,
+                               delay=True).delay[:, 0]
     divergence = (shift_p - shift_m) / (2.0 * he) + (delay_p - delay_m) / (2.0 * ht)
 
     return CurvatureIdentity(
@@ -303,14 +374,9 @@ def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
 def verify_cycle(cycle: PumpCycle, energies: np.ndarray, times: np.ndarray,
                  q: QuadratureSpec = QuadratureSpec()) -> dict[str, float]:
     """Worst unitarity and periodicity defects over a sample grid."""
-    worst_u = 0.0
+    s = cycle.sample_grid(energies, times)
     worst_p = 0.0
-    for e in energies:
-        for t in times:
-            s = cycle.sample(e, t)
-            worst_u = max(worst_u, float(np.max(np.abs(
-                s @ s.conj().T - np.eye(cycle.n_channels)))))
-            if cycle.period is not None:
-                sp = cycle.sample(e, t + cycle.period)
-                worst_p = max(worst_p, float(np.max(np.abs(sp - s))))
-    return {"unitarity": worst_u, "periodicity": worst_p}
+    if cycle.period is not None:
+        later = cycle.sample_grid(energies, np.asarray(times) + cycle.period)
+        worst_p = float(np.max(np.abs(later - s), initial=0.0))
+    return {"unitarity": _unitarity_defect(s), "periodicity": worst_p}

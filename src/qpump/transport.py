@@ -6,6 +6,10 @@ diagonal element over minus the derivative of the Fermi function; the
 dissipation current averages the squared matrix instead, and the excess
 over the charge bound comes from the off-diagonal row weight, which also
 feeds the entropy and noise currents at finite temperature.
+
+Each function takes the shift once per node of one (times x energies)
+grid from the stencil kernel and derives every current from it; the
+thermal nodes are built once per call.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ZeroTemperature
-from .quadrature import QuadratureSpec, gauss_legendre, midpoint_grid
-from .smatrix import PumpCycle, _energy_shift, _steps
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre, midpoint_grid
+from .smatrix import PumpCycle, Stencil, stencil
 
 # 1 / integral_0^1 of the window shape over filling factors:
 # -x ln x - (1-x) ln(1-x) integrates to 1/2, x (1-x) to 1/6.
@@ -106,11 +108,49 @@ def thermal_energy_nodes(state: ThermalState,
     return np.concatenate([x1, x2]), np.concatenate([w1, w2])
 
 
-def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, squared row norm) of a Hermitian energy-shift matrix."""
-    diag = np.real(np.diag(shift))
-    rows = np.sum(np.abs(shift) ** 2, axis=1)
-    return diag, rows
+def _thermal_mass(state: ThermalState,
+                  q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Energies the currents average over and their weights -drho/dE dE;
+    mu alone with weight 1 at zero temperature."""
+    if state.temperature == 0.0:
+        return np.array([state.mu]), np.ones(1)
+    nodes, weights = thermal_energy_nodes(state, q)
+    return nodes, -fermi_derivative(nodes, state) * weights
+
+
+def _thermal_average(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Weighted sum over the energy axis (axis 1), node by node."""
+    total = np.zeros(values.shape[:1] + values.shape[2:])
+    for w, v in zip(mass, values.swapaxes(0, 1)):
+        total += w * v
+    return total
+
+
+def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, squared row norm and off-diagonal row weight of Hermitian
+    energy-shift matrices, shape (..., n, n)."""
+    diag = np.real(np.diagonal(shift, axis1=-2, axis2=-1))
+    rows = np.sum(np.abs(shift) ** 2, axis=-1)
+    return diag, rows, rows - diag ** 2
+
+
+def _offdiag(cycle: PumpCycle, mu: float, times,
+             q: QuadratureSpec) -> np.ndarray:
+    """Off-diagonal row weight of the energy shift at mu, shape (N, n)."""
+    return _row_weights(stencil(cycle, mu, times, q).shift)[2][:, 0]
+
+
+def _thermal_rates(cycle: PumpCycle, times, energies: np.ndarray,
+                   mass: np.ndarray, q: QuadratureSpec,
+                   mu: float | None = None):
+    """Charge and dissipation currents at `times`, shape (N, n) each, and
+    the off-diagonal row weight of the shift at `mu` when one is given."""
+    nodes = energies if mu is None else np.append(energies, mu)
+    diag, rows, off = _row_weights(stencil(cycle, nodes, times, q).shift)
+    m = mass.size
+    return (_thermal_average(diag[:, :m], mass) / TWO_PI,
+            _thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
+            None if mu is None else off[:, -1])
 
 
 def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -121,15 +161,7 @@ def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
     over 2 pi; at finite temperature the diagonal is averaged against
     -drho/dE.
     """
-    if state.temperature == 0.0:
-        shift = _energy_shift(cycle, state.mu, time, q)
-        return np.real(np.diag(shift)) / TWO_PI
-    nodes, weights = thermal_energy_nodes(state, q)
-    mass = -fermi_derivative(nodes, state) * weights
-    total = np.zeros(cycle.n_channels)
-    for e, w in zip(nodes, mass):
-        total += w * np.real(np.diag(_energy_shift(cycle, e, time, q)))
-    return total / TWO_PI
+    return _thermal_rates(cycle, time, *_thermal_mass(state, q), q)[0][0]
 
 
 def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -141,24 +173,15 @@ def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
     index gives the charge bound, saturated exactly when the shift is
     diagonal and energy-independent across the thermal window.
     """
-    if state.temperature == 0.0:
-        shift = _energy_shift(cycle, state.mu, time, q)
-        _, rows = _row_weights(shift)
-        return rows / (2.0 * TWO_PI)
-    nodes, weights = thermal_energy_nodes(state, q)
-    mass = -fermi_derivative(nodes, state) * weights
-    total = np.zeros(cycle.n_channels)
-    for e, w in zip(nodes, mass):
-        _, rows = _row_weights(_energy_shift(cycle, e, time, q))
-        total += w * rows
-    return total / (2.0 * TWO_PI)
+    return _thermal_rates(cycle, time, *_thermal_mass(state, q), q)[1][0]
 
 
-def _offdiag_row_weight(cycle: PumpCycle, time: float, state: ThermalState,
-                        q: QuadratureSpec) -> np.ndarray:
-    shift = _energy_shift(cycle, state.mu, time, q)
-    diag, rows = _row_weights(shift)
-    return rows - diag ** 2
+def _window_rates(offdiag: np.ndarray,
+                  state: ThermalState) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy and noise currents from the off-diagonal row weight at mu."""
+    beta = state.beta
+    return (beta / (TWO_PI * ENTROPY_NORM) * offdiag,
+            beta / (TWO_PI * NOISE_NORM) * offdiag)
 
 
 def entropy_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -170,9 +193,7 @@ def entropy_current(cycle: PumpCycle, time: float, state: ThermalState,
     entropy window.  Finite temperature only, and the shift is taken
     energy-independent across the thermal window.
     """
-    beta = state.beta
-    return beta / (TWO_PI * ENTROPY_NORM) * _offdiag_row_weight(
-        cycle, time, state, q)
+    return _window_rates(_offdiag(cycle, state.mu, time, q)[0], state)[0]
 
 
 def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -182,9 +203,7 @@ def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
     Same structure as the entropy current with the x (1 - x) window, so
     the normalization is 6 instead of 2.
     """
-    beta = state.beta
-    return beta / (TWO_PI * NOISE_NORM) * _offdiag_row_weight(
-        cycle, time, state, q)
+    return _window_rates(_offdiag(cycle, state.mu, time, q)[0], state)[1]
 
 
 def _integration_interval(cycle: PumpCycle) -> tuple[float, float]:
@@ -205,10 +224,8 @@ def cycle_charge(cycle: PumpCycle, state: ThermalState,
     """
     t0, t1 = _integration_interval(cycle)
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    total = np.zeros(cycle.n_channels)
-    for t in times:
-        total += bpt_current(cycle, t, state, q)
-    return total * dt
+    charge = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[0]
+    return charge.sum(axis=0) * dt
 
 
 def dissipated_heat(cycle: PumpCycle, state: ThermalState,
@@ -217,34 +234,41 @@ def dissipated_heat(cycle: PumpCycle, state: ThermalState,
     """Heat per cycle into each channel (time integral of dissipation)."""
     t0, t1 = _integration_interval(cycle)
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    total = np.zeros(cycle.n_channels)
-    for t in times:
-        total += dissipation_current(cycle, t, state, q)
-    return total * dt
+    heat = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[1]
+    return heat.sum(axis=0) * dt
 
 
-def _wrap_angle(x: float) -> float:
+def _wrap_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def det_phase_rate(cycle: PumpCycle, energy: float, time: float,
-                   q: QuadratureSpec = QuadratureSpec()) -> float:
-    """d/dt of arg det S(E, t) by Richardson-extrapolated differences.
+def _det_phase_rates(st: Stencil) -> np.ndarray:
+    """d/dt arg det S at the nodes of a Richardson stencil, from its samples.
 
     Local phase increments are wrapped to (-pi, pi], which is safe for
     the small stencil steps used here.
     """
-    _, h = _steps(cycle, energy, q)
-
-    def phase(t: float) -> float:
-        return float(np.angle(np.linalg.det(cycle.sample(energy, t))))
-
-    def diff(step: float) -> float:
-        return _wrap_angle(phase(time + step) - phase(time - step)) / (2.0 * step)
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
+    _, plus, minus, plus2, minus2 = np.angle(np.linalg.det(st.samples))
+    h = st.h_t
+    d1 = _wrap_angle(plus - minus) / (2.0 * h)
+    d2 = _wrap_angle(plus2 - minus2) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
+
+
+def det_phase_rate(cycle: PumpCycle, energy: float, time: float,
+                   q: QuadratureSpec = QuadratureSpec()) -> float:
+    """d/dt of arg det S(E, t) by Richardson-extrapolated differences."""
+    st = stencil(cycle, energy, time, replace(q, richardson=True))
+    return float(_det_phase_rates(st)[0, 0])
+
+
+def _bk_residual(cycle: PumpCycle, energies: np.ndarray, mass: np.ndarray,
+                 times: np.ndarray, q: QuadratureSpec) -> float:
+    st = stencil(cycle, energies, times, replace(q, richardson=True))
+    diag, _, _ = _row_weights(st.shift)
+    total = np.sum(_thermal_average(diag, mass) / TWO_PI, axis=-1)
+    rate = _thermal_average(_det_phase_rates(st), mass)
+    return float(np.max(np.abs(total + rate / TWO_PI), initial=0.0))
 
 
 def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
@@ -254,24 +278,14 @@ def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
 
     The summed channel currents must equal -1/(2 pi) d/dt arg det S,
     thermally averaged; both sides use fourth-order differencing so the
-    residual probes the identity rather than the stencil.
+    residual probes the identity rather than the stencil.  Both come
+    from the same stencil samples.
     """
-    qr = replace(q, richardson=True)
     if times is None:
         t0, t1 = _integration_interval(cycle)
         times, _ = midpoint_grid(t0, t1, 16)
-    worst = 0.0
-    for t in times:
-        total = float(np.sum(bpt_current(cycle, t, state, qr)))
-        if state.temperature == 0.0:
-            rate = det_phase_rate(cycle, state.mu, t, qr)
-        else:
-            nodes, weights = thermal_energy_nodes(state, qr)
-            mass = -fermi_derivative(nodes, state) * weights
-            rate = sum(w * det_phase_rate(cycle, e, t, qr)
-                       for e, w in zip(nodes, mass))
-        worst = max(worst, abs(total + rate / TWO_PI))
-    return worst
+    energies, mass = _thermal_mass(state, q)
+    return _bk_residual(cycle, energies, mass, times, q)
 
 
 @dataclass(frozen=True)
@@ -293,25 +307,21 @@ class TransportReport:
 def transport_report(cycle: PumpCycle, state: ThermalState,
                      q: QuadratureSpec = QuadratureSpec(),
                      n_time: int | None = None) -> TransportReport:
-    """One-stop cycle summary used by the command-line front end."""
+    """One-stop cycle summary used by the command-line front end.
+
+    One stencil call covers every time node and every thermal node,
+    plus mu itself at finite temperature for the entropy and noise
+    currents.
+    """
     t0, t1 = _integration_interval(cycle)
     times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    n_ch = cycle.n_channels
     finite_t = state.temperature > 0.0
-
-    charge = np.empty((times.size, n_ch))
-    diss = np.empty((times.size, n_ch))
-    ent = np.empty((times.size, n_ch)) if finite_t else None
-    noi = np.empty((times.size, n_ch)) if finite_t else None
-    for i, t in enumerate(times):
-        charge[i] = bpt_current(cycle, t, state, q)
-        diss[i] = dissipation_current(cycle, t, state, q)
-        if finite_t:
-            off = _offdiag_row_weight(cycle, t, state, q)
-            ent[i] = state.beta / (TWO_PI * ENTROPY_NORM) * off
-            noi[i] = state.beta / (TWO_PI * NOISE_NORM) * off
-    bk = birman_krein_residual(cycle, state, q,
-                               times=times[:: max(times.size // 8, 1)])
+    energies, mass = _thermal_mass(state, q)
+    charge, diss, off = _thermal_rates(cycle, times, energies, mass, q,
+                                       mu=state.mu if finite_t else None)
+    ent, noi = _window_rates(off, state) if finite_t else (None, None)
+    bk = _bk_residual(cycle, energies, mass,
+                      times[:: max(times.size // 8, 1)], q)
     return TransportReport(
         times=times,
         charge_rate=charge,

@@ -135,13 +135,16 @@ def test_config_file_problems_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_lazy_parameter_violation_exits_3(tmp_path, capsys):
-    # the mixing angle range is only checked when the cycle is evaluated
+def test_theta_range_violation_exits_2(tmp_path, capsys):
+    # theta(t) = 0.8 + 0.9 sin(...) leaves [0, pi/2]: a configuration
+    # error, caught when the model is built rather than when it is sampled
     cfg = _write(tmp_path, "wild.json",
                  {"model": {"kind": "custom-two-channel",
                             "params": {"theta_base": 0.8, "theta_amp": 0.9}}})
-    assert cli.main(["geometry", "--config", cfg]) == 3
-    assert "invariant violated" in capsys.readouterr().err
+    for command in ("geometry", "transport"):
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "model.params" in err
 
 
 def test_zero_temperature_direct_request_exits_4(tmp_path, capsys):

@@ -1,0 +1,130 @@
+"""Grid sampling and the stencil kernel.
+
+`PumpCycle.sample_grid` must reproduce the per-point `evaluate` whether a
+cycle brings its own `evaluate_grid` or falls back to the point loop, and
+the grid kernel must agree with the per-point differential data.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qpump as qp
+from qpump.models import MODEL_KINDS, ModelSpec, make_pump
+from qpump.smatrix import stencil
+
+Q = qp.QuadratureSpec()
+ENERGIES = np.array([0.4, 1.0, 2.5])
+TIMES = np.array([0.05, 0.3, 0.61, 0.9])
+
+# non-default drives where the defaults leave a model static in some angle
+PARAMS = {"custom-two-channel": {"theta_base": 0.7, "theta_amp": 0.3,
+                                 "alpha_amp": 0.4, "phi_amp": 1.0,
+                                 "gamma_amp": 0.2}}
+
+
+def _pointwise(cycle: qp.PumpCycle, energies, times) -> np.ndarray:
+    return np.array([[cycle.evaluate(e, t) for e in energies] for t in times])
+
+
+def _random_unitary(e: float, t: float) -> np.ndarray:
+    h = np.array([[math.cos(t), e + 1j * math.sin(2.0 * t)],
+                  [e - 1j * math.sin(2.0 * t), -math.cos(t)]])
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_sample_grid_matches_pointwise_evaluate(kind):
+    cycle = make_pump(ModelSpec(kind, PARAMS.get(kind, {})))
+    grid = cycle.sample_grid(ENERGIES, TIMES)
+    assert grid.shape == (TIMES.size, ENERGIES.size, 2, 2)
+    assert np.max(np.abs(grid - _pointwise(cycle, ENERGIES, TIMES))) <= 1e-15
+
+
+def test_fallback_loop_for_plain_cycles():
+    cycle = qp.PumpCycle(n_channels=2, evaluate=_random_unitary, period=1.0)
+    assert cycle.evaluate_grid is None
+    grid = cycle.sample_grid(ENERGIES, TIMES)
+    assert np.max(np.abs(grid - _pointwise(cycle, ENERGIES, TIMES))) <= 1e-15
+
+
+def test_drives_are_called_once_per_distinct_time():
+    calls = []
+
+    def phi(t: float) -> float:
+        assert isinstance(t, float)
+        calls.append(t)
+        return 2.0 * t
+
+    cycle = qp.make_battery_cycle(qp.TwoChannelParams(theta=0.6), phi=phi,
+                                  period=1.0)
+    cycle.sample_grid(np.linspace(0.5, 2.0, 9), TIMES)
+    assert calls == list(TIMES)
+
+
+def test_wrong_grid_shape_is_rejected():
+    def transposed(energies, times):
+        return np.array([[_random_unitary(e, t) for t in times]
+                         for e in energies])
+
+    cycle = qp.PumpCycle(n_channels=2, evaluate=_random_unitary, period=1.0,
+                         evaluate_grid=transposed)
+    with pytest.raises(ValueError, match="evaluate_grid returned shape"):
+        cycle.sample_grid(ENERGIES, TIMES)
+    with pytest.raises(ValueError, match="evaluate_grid returned shape"):
+        qp.bpt_current(cycle, 0.3, qp.ThermalState(mu=1.0, temperature=0.1))
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_kernel_matches_differential_data(richardson):
+    q = replace(Q, richardson=richardson)
+    rng = np.random.default_rng(21)
+    cycles = [qp.make_random_analytic_cycle(3, rng),
+              make_pump(ModelSpec("snowplow")),
+              make_pump(ModelSpec("custom-two-channel",
+                                  PARAMS["custom-two-channel"]))]
+    for cycle in cycles:
+        st = stencil(cycle, ENERGIES, TIMES, q, delay=True)
+        for k, t in enumerate(TIMES):
+            for m, e in enumerate(ENERGIES):
+                dd = qp.differential_data(cycle, e, t, q)
+                assert np.max(np.abs(st.shift[k, m] - dd.energy_shift)) < 1e-12
+                assert np.max(np.abs(st.delay[k, m] - dd.time_delay)) < 1e-12
+                assert st.residual >= dd.hermitization_residual
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.05])
+def test_non_unitary_stencil_samples_are_caught(temperature):
+    # unitary exactly at t0, scaled by 1.001 everywhere else: the centre
+    # sample passes and only the samples at t0 +- h_t reveal the defect
+    t0 = 0.3
+
+    def evaluate(e: float, t: float) -> np.ndarray:
+        s = np.diag(np.exp(1j * np.array([t, -t])))
+        return s if t == t0 else 1.001 * s
+
+    cycle = qp.PumpCycle(n_channels=2, evaluate=evaluate, period=1.0)
+    s0 = cycle.sample(1.0, t0)
+    assert np.max(np.abs(s0 @ s0.conj().T - np.eye(2))) < 1e-15
+    with pytest.raises(qp.NonUnitary):
+        qp.bpt_current(cycle, t0, qp.ThermalState(mu=1.0,
+                                                  temperature=temperature))
+
+
+def test_custom_grid_is_no_more_permissive_than_evaluate():
+    # theta(t) = 0.8 + 0.9 sin(2 pi t) leaves [0, pi/2]
+    cycle = qp.make_custom_two_channel(
+        theta=lambda t: 0.8 + 0.9 * math.sin(2.0 * math.pi * t),
+        alpha=lambda t: 0.0, phi=lambda t: 0.0, gamma=lambda t: 0.0,
+        period=1.0)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        cycle.evaluate(1.0, 0.25)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        cycle.sample_grid(ENERGIES, [0.1, 0.25])
+    with pytest.raises(ValueError, match="theta_amp"):
+        make_pump(ModelSpec("custom-two-channel",
+                            {"theta_base": 0.8, "theta_amp": 0.9}))
