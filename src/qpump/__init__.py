@@ -19,10 +19,9 @@ from .smatrix import (CurvatureIdentity, DifferentialData, PumpCycle,
                       decompose_two_channel, differential_data, verify_cycle)
 from .transport import (ThermalState, TransportReport, birman_krein_residual,
                         bpt_current, cycle_charge, det_phase_rate,
-                        dissipated_heat, dissipation_current, entropy_current,
-                        entropy_weight, fermi_derivative, fermi_weight,
-                        noise_current, noise_weight, thermal_energy_nodes,
-                        transport_report)
+                        dissipation_current, entropy_current, entropy_weight,
+                        fermi_derivative, fermi_weight, noise_current,
+                        noise_weight, thermal_energy_nodes, transport_report)
 from .geometry import (amplitude_winding, boundary_states,
                        charge_from_global_angle, cylinder_charge,
                        fractional_charge, global_angle, hopf_vector,

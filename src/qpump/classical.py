@@ -28,6 +28,11 @@ from scipy.optimize import brentq
 from .errors import MaxEventsExceeded, RegionTouchesDiscontinuity
 from .quadrature import TWO_PI, midpoint_grid
 
+# central-difference step in E and in t of `liouville_residual`
+LIOUVILLE_STEP = 1e-6
+# rtol and atol of the DOP853 runs in `classical_battery_shift`
+BATTERY_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PlowSpec:
@@ -250,20 +255,20 @@ def plow_charge_direct(spec: PlowSpec, mu: float,
 
 
 def liouville_residual(spec: PlowSpec, energy: float, time_in: float,
-                       channel: int, h_e: float = 1e-6,
-                       h_t: float = 1e-6) -> float:
+                       channel: int) -> float:
     """|det of the (E, t) -> (E', t') Jacobian - 1| by central differences.
 
     The scattering map is canonical, so away from partition boundaries
     the determinant is exactly one.  The map is typically discontinuous
     across those boundaries, so a stencil that straddles one is refused.
     """
-    corners = [(energy + h_e, time_in), (energy - h_e, time_in),
-               (energy, time_in + h_t), (energy, time_in - h_t)]
+    h = LIOUVILLE_STEP
+    corners = [(energy + h, time_in), (energy - h, time_in),
+               (energy, time_in + h), (energy, time_in - h)]
     outcomes = {classical_scatter(spec, e, t, channel).channel
                 for e, t in corners}
     if len(outcomes) > 1 or abs(
-            partition_margin(spec, energy, time_in, channel)) < 4.0 * max(h_e, h_t):
+            partition_margin(spec, energy, time_in, channel)) < 4.0 * h:
         raise RegionTouchesDiscontinuity(
             "finite-difference stencil straddles a partition boundary")
 
@@ -271,12 +276,12 @@ def liouville_residual(spec: PlowSpec, energy: float, time_in: float,
         r = classical_scatter(spec, e, t, channel)
         return r.energy, r.time
 
-    ep, tp = image(energy + h_e, time_in)
-    em, tm = image(energy - h_e, time_in)
-    de_de, dt_de = (ep - em) / (2 * h_e), (tp - tm) / (2 * h_e)
-    ep, tp = image(energy, time_in + h_t)
-    em, tm = image(energy, time_in - h_t)
-    de_dt, dt_dt = (ep - em) / (2 * h_t), (tp - tm) / (2 * h_t)
+    ep, tp = image(energy + h, time_in)
+    em, tm = image(energy - h, time_in)
+    de_de, dt_de = (ep - em) / (2 * h), (tp - tm) / (2 * h)
+    ep, tp = image(energy, time_in + h)
+    em, tm = image(energy, time_in - h)
+    de_dt, dt_dt = (ep - em) / (2 * h), (tp - tm) / (2 * h)
     return abs(de_de * dt_dt - de_dt * dt_de - 1.0)
 
 
@@ -307,8 +312,7 @@ class BatteryFieldResult:
 
 def classical_battery_shift(delta_phi: float, energy: float,
                             half_width: float = 1.0,
-                            start_time: float = 0.0,
-                            rtol: float = 1e-12) -> BatteryFieldResult:
+                            start_time: float = 0.0) -> BatteryFieldResult:
     """Particle through A(x, t) = t * phi'(x), phi a smooth step of height
     delta_phi supported on [-half_width, half_width].
 
@@ -344,8 +348,8 @@ def classical_battery_shift(delta_phi: float, energy: float,
 
     horizon = start_time + 3.0 * w / math.sqrt(2.0 * (energy - delta_phi)) + 10.0
     sol = solve_ivp(rhs_full, (start_time, horizon), [x0, v_in],
-                    method="DOP853", rtol=rtol, atol=rtol, events=crossed,
-                    max_step=0.05 * w)
+                    method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
+                    events=crossed, max_step=0.05 * w)
     if not sol.t_events[0].size:
         raise RuntimeError("trajectory did not cross the field region")
     t_end = sol.t_events[0][0]
@@ -360,8 +364,8 @@ def classical_battery_shift(delta_phi: float, energy: float,
 
     sol_f = solve_ivp(rhs_frozen, (0.0, horizon - start_time),
                       [x0, v_in + start_time * slope(x0)],
-                      method="DOP853", rtol=rtol, atol=rtol, events=crossed,
-                      max_step=0.05 * w)
+                      method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
+                      events=crossed, max_step=0.05 * w)
     if not sol_f.t_events[0].size:
         raise RuntimeError("frozen trajectory did not cross the field region")
     xf, pf = sol_f.y_events[0][0]

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import geometry, models
-from .counting import noise_report, second_cumulant_direct
+from .counting import noise_report
 from .errors import (EnergyAtBandEdge, GridTooCoarse, MaxEventsExceeded,
                      NonPulseCycle, NonUnitary, PhaseUnwrapFailure,
                      RegionTouchesDiscontinuity, SchemaError,
@@ -79,9 +79,19 @@ def _number(section: dict, key: str, path: str, default=None):
 
 
 def load_config(path: str) -> dict:
+    # NaN, +-Infinity and literals beyond the double range are refused
+    # here, before any section reads them
+    def finite(kind):
+        def parse(text: str):
+            if not math.isfinite(float(text)):
+                raise SchemaError(f"number {text} is not finite", path)
+            return kind(text)
+        return parse
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=finite(float),
+                            parse_float=finite(float), parse_int=finite(int))
     except FileNotFoundError:
         raise SchemaError("file not found", path)
     except json.JSONDecodeError as exc:
@@ -117,6 +127,8 @@ def build_quadrature(cfg: dict, args) -> QuadratureSpec:
         else:
             fields[key] = _number(section, key, "quadrature")
             if key.startswith("n_"):
+                _require(fields[key].is_integer(), "expected an integer",
+                         f"quadrature.{key}")
                 fields[key] = int(fields[key])
     if getattr(args, "grid", None) is not None:
         fields["n_time"] = args.grid
@@ -418,7 +430,8 @@ def cmd_selfcheck(args) -> int:
 
     uturn = models.make_uturn_cycle(ell=1.0, flux=lambda t: TWO_PI * t,
                                     period=1.0)
-    charges = cycle_charge(uturn, ThermalState(mu=1.0), q, n_time=128)
+    charges = cycle_charge(uturn, ThermalState(mu=1.0),
+                           dataclasses.replace(q, n_time=128))
     check("uturn quantized charge",
           abs(charges[0] + 1.0) < 1e-6 and abs(charges[1] - 1.0) < 1e-6,
           f"charges {charges[0]:.9f}, {charges[1]:.9f}")

@@ -22,9 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
-from .quadrature import QuadratureSpec, gauss_legendre, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre, midpoint_grid
 from .smatrix import PumpCycle
-from .transport import ThermalState, _offdiag, cycle_charge
+from .transport import NOISE_NORM, ThermalState, _offdiag, cycle_charge
+
+# largest |S(t0) - S(t1)| of a pulse that counts as settled
+SETTLE_TOL = 1e-6
+# Gauss-Legendre rule of the inner x = pi T (t - t') integral of
+# `second_cumulant_direct`: node count and reach in x
+KERNEL_NODES = 64
+KERNEL_REACH = 30.0
 
 
 def _window(cycle: PumpCycle) -> tuple[float, float]:
@@ -33,37 +40,33 @@ def _window(cycle: PumpCycle) -> tuple[float, float]:
     return cycle.window
 
 
-def _check_pulse(cycle: PumpCycle, mu: float, tol: float = 1e-6) -> np.ndarray:
+def _check_pulse(cycle: PumpCycle, mu: float) -> None:
     """Verify the matrix is frozen outside the window, same value on both
-    sides; returns that constant."""
+    sides."""
     t0, t1 = _window(cycle)
     span = t1 - t0
-    left = cycle.sample(mu, t0)
-    right = cycle.sample(mu, t1)
-    drift = max(np.max(np.abs(cycle.sample(mu, t0 - 0.05 * span) - left)),
-                np.max(np.abs(cycle.sample(mu, t1 + 0.05 * span) - right)))
+    left, right, before, after = cycle.sample_grid(
+        mu, [t0, t1, t0 - 0.05 * span, t1 + 0.05 * span])[:, 0]
+    drift = max(np.max(np.abs(before - left)), np.max(np.abs(after - right)))
     if drift > 1e-8:
         raise NonPulseCycle(
             f"matrix still moving outside the window (drift {drift:.2e})")
     settle = np.max(np.abs(left - right))
-    if settle > tol:
+    if settle > SETTLE_TOL:
         raise NonPulseCycle(
             "matrix does not settle to one constant on both sides "
             f"(difference {settle:.2e}); counting integrals do not converge")
-    return left
 
 
 def mean_transferred_charge(cycle: PumpCycle, state: ThermalState,
-                            q: QuadratureSpec = QuadratureSpec(),
-                            n_time: int | None = None) -> np.ndarray:
+                            q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """First cumulant: the integrated adiabatic current per channel."""
     _window(cycle)
-    return cycle_charge(cycle, state, q, n_time=n_time)
+    return cycle_charge(cycle, state, q)
 
 
 def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
-                  q: QuadratureSpec = QuadratureSpec(),
-                  n_time: int | None = None) -> float:
+                  q: QuadratureSpec = QuadratureSpec()) -> float:
     """Equilibrium-exchange part of the charge variance over the window:
 
         T / pi * integral dt (1 - |S_jj(mu, t)|^2).
@@ -75,26 +78,25 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     if state.temperature == 0.0:
         return 0.0
     t0, t1 = _window(cycle)
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
+    times, dt = midpoint_grid(t0, t1, q.n_time)
     diag = cycle.sample_grid(state.mu, times)[:, 0, channel, channel]
     total = sum(1.0 - np.abs(diag) ** 2)
     return float(state.temperature / math.pi * total * dt)
 
 
 def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
-                        q: QuadratureSpec = QuadratureSpec(),
-                        n_time: int | None = None) -> float:
+                        q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumping part of the variance at finite temperature:
 
-        beta / (12 pi) * integral dt of the off-diagonal row weight
+        beta / (2 pi * 6) * integral dt of the off-diagonal row weight
         of the energy shift at mu.
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     t0, t1 = _window(cycle)
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
+    times, dt = midpoint_grid(t0, t1, q.n_time)
     total = sum(_offdiag(cycle, state.mu, times, q)[:, channel])
-    return float(state.beta / (12.0 * math.pi) * total * dt)
+    return float(state.beta / (TWO_PI * NOISE_NORM) * total * dt)
 
 
 def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +112,7 @@ def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
-                      q: QuadratureSpec = QuadratureSpec(),
-                      n_time: int | None = None) -> float:
+                      q: QuadratureSpec = QuadratureSpec()) -> float:
     """Zero-temperature charge variance of a pulse:
 
         1/(4 pi^2) * double integral of [1 - |(S(t) S(t')^+)_jj|^2]
@@ -128,7 +129,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     _check_pulse(cycle, mu)
     t0, t1 = _window(cycle)
     span = t1 - t0
-    times, weights = _simpson(t0, t1, n_time or q.n_shot_time)
+    times, weights = _simpson(t0, t1, q.n_shot_time)
     n = times.size
 
     rows = cycle.sample_grid(mu, times)[:, 0, channel]
@@ -164,10 +165,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
 
 def second_cumulant_direct(cycle: PumpCycle, channel: int,
                            state: ThermalState,
-                           q: QuadratureSpec = QuadratureSpec(),
-                           n_time: int | None = None,
-                           n_kernel: int = 64,
-                           kernel_reach: float = 30.0) -> float:
+                           q: QuadratureSpec = QuadratureSpec()) -> float:
     """Charge variance from the operator expression, no thermal/shot split.
 
     Tr[rho A (1 - rho) A] for the projected charge difference A gives a
@@ -185,10 +183,11 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     mu = state.mu
     pi_t = math.pi * state.temperature
 
-    single = thermal_noise(cycle, channel, state, q, n_time=n_time)
+    single = thermal_noise(cycle, channel, state, q)
 
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    x_nodes, x_weights = gauss_legendre(-kernel_reach, kernel_reach, n_kernel)
+    times, dt = midpoint_grid(t0, t1, q.n_time)
+    x_nodes, x_weights = gauss_legendre(-KERNEL_REACH, KERNEL_REACH,
+                                         KERNEL_NODES)
 
     near = np.abs(x_nodes) < 1e-4
     x, wx = x_nodes[~near], x_weights[~near]
@@ -226,10 +225,9 @@ class NoiseReport:
 
 def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                  q: QuadratureSpec = QuadratureSpec(),
-                 n_time: int | None = None,
                  include_direct: bool = False) -> NoiseReport:
     """Mean and variance of the pumped charge through one pulse."""
-    mean = mean_transferred_charge(cycle, state, q, n_time=n_time)[channel]
+    mean = mean_transferred_charge(cycle, state, q)[channel]
     if state.temperature == 0.0:
         if include_direct:
             raise ZeroTemperature(
@@ -237,10 +235,10 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
         shot = shot_noise_zero_t(cycle, channel, state.mu, q)
         return NoiseReport(channel=channel, temperature=0.0, mean=float(mean),
                            thermal=0.0, shot=shot, total=shot)
-    thermal = thermal_noise(cycle, channel, state, q, n_time=n_time)
-    shot = shot_noise_finite_t(cycle, channel, state, q, n_time=n_time)
-    direct = second_cumulant_direct(cycle, channel, state, q,
-                                    n_time=n_time) if include_direct else None
+    thermal = thermal_noise(cycle, channel, state, q)
+    shot = shot_noise_finite_t(cycle, channel, state, q)
+    direct = (second_cumulant_direct(cycle, channel, state, q)
+              if include_direct else None)
     return NoiseReport(channel=channel, temperature=state.temperature,
                        mean=float(mean), thermal=thermal, shot=shot,
                        total=thermal + shot, direct=direct)

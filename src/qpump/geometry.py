@@ -27,19 +27,22 @@ from .errors import (EnergyAtBandEdge, GridTooCoarse, PhaseUnwrapFailure,
 from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid
 from .smatrix import PumpCycle
 
+# energy intervals of the [0, mu] x cycle surface in `cylinder_charge`
+CYLINDER_ENERGIES = 48
+
 
 # ---------------------------------------------------------------------------
 # row loops and the global angle
 
 def row_states(cycle: PumpCycle, channel: int, energy: float,
                times: np.ndarray) -> np.ndarray:
-    """Rows of S(energy, t) for t in `times`, shape (len(times), n)."""
+    """Rows of S(energy, t) for t in `times`, shape (len(times), n).
+
+    Possibly a read-only view, like `PumpCycle.sample_grid`.
+    """
     if not 0 <= channel < cycle.n_channels:
         raise ValueError("channel index out of range")
-    out = np.empty((len(times), cycle.n_channels), dtype=np.complex128)
-    for k, t in enumerate(times):
-        out[k] = cycle.sample(energy, t)[channel]
-    return out
+    return cycle.sample_grid(energy, times)[:, 0, channel]
 
 
 def _links(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
@@ -50,11 +53,6 @@ def _links(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
         raise GridTooCoarse(
             "neighbouring states nearly orthogonal; refine the sampling")
     return overlaps
-
-
-def _link_args(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
-    """arg <a_k | b_k>; see _links for the resolution guard."""
-    return np.angle(_links(states_a, states_b))
 
 
 def global_angle(states: np.ndarray, closed: bool = True) -> float:
@@ -68,16 +66,15 @@ def global_angle(states: np.ndarray, closed: bool = True) -> float:
         raise ValueError("need a (n_samples, dim) array with >= 2 samples")
     nxt = np.roll(states, -1, axis=0) if closed else states[1:]
     cur = states if closed else states[:-1]
-    return float(np.sum(_link_args(cur, nxt)))
+    return float(np.sum(np.angle(_links(cur, nxt))))
 
 
 def charge_from_global_angle(cycle: PumpCycle, channel: int, mu: float,
-                             q: QuadratureSpec = QuadratureSpec(),
-                             n_time: int | None = None) -> float:
+                             q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge of a periodic cycle from the row loop at E = mu."""
     if cycle.period is None:
         raise ValueError("global-angle charge needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, n_time or q.n_time)
+    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
     states = row_states(cycle, channel, mu, times)
     return -global_angle(states, closed=True) / TWO_PI
 
@@ -179,8 +176,7 @@ def random_smooth_patch(rng: np.random.Generator, dim: int,
 # charge as curvature flux over the filled band
 
 def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
-                    q: QuadratureSpec = QuadratureSpec(),
-                    n_energy: int = 48, n_time: int | None = None) -> float:
+                    q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge as discrete flux through [0, mu] x cycle.
 
     Valid when the frozen matrix is constant in time at the band bottom
@@ -190,16 +186,15 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     """
     if cycle.period is None:
         raise ValueError("cylinder flux needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, n_time or q.n_time)
-    energies = np.linspace(0.0, mu, n_energy + 1)
-    grid = np.empty((energies.size, times.size, cycle.n_channels),
-                    dtype=np.complex128)
-    for i, e in enumerate(energies):
-        try:
-            grid[i] = row_states(cycle, channel, e, times)
-        except EnergyAtBandEdge as exc:
-            raise RegionTouchesDiscontinuity(
-                f"energy sweep hits a band edge at E = {e!r}") from exc
+    if not 0 <= channel < cycle.n_channels:
+        raise ValueError("channel index out of range")
+    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
+    energies = np.linspace(0.0, mu, CYLINDER_ENERGIES + 1)
+    try:
+        grid = cycle.sample_grid(energies, times)[:, :, channel].swapaxes(0, 1)
+    except EnergyAtBandEdge as exc:
+        raise RegionTouchesDiscontinuity(
+            f"energy sweep over [0, {mu!r}] hits a band edge") from exc
     bottom = grid[0]
     drift = np.max(np.linalg.norm(bottom - bottom[0], axis=-1))
     if drift > 1e-6:
@@ -231,8 +226,7 @@ def winding_number(values: np.ndarray) -> int:
 
 
 def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
-                      q: QuadratureSpec = QuadratureSpec(),
-                      n_time: int | None = None) -> int:
+                      q: QuadratureSpec = QuadratureSpec()) -> int:
     """Winding of the diagonal amplitude S_jj(mu, t) over one period.
 
     For deterministic (fully reflecting or chiral) matrices the pumped
@@ -240,9 +234,8 @@ def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
     """
     if cycle.period is None:
         raise ValueError("winding needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, n_time or q.n_time)
-    vals = np.array([cycle.sample(mu, t)[channel, channel] for t in times])
-    return winding_number(vals)
+    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
+    return winding_number(cycle.sample_grid(mu, times)[:, 0, channel, channel])
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +256,11 @@ def hopf_vector(row: np.ndarray) -> np.ndarray:
 
 
 def sphere_path(cycle: PumpCycle, channel: int, mu: float,
-                q: QuadratureSpec = QuadratureSpec(),
-                n_time: int | None = None) -> np.ndarray:
+                q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Closed path swept on the sphere by the row image over one period."""
     if cycle.period is None:
         raise ValueError("sphere path needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, n_time or q.n_time)
+    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
     states = row_states(cycle, channel, mu, times)
     return np.array([hopf_vector(s) for s in states])
 
@@ -310,8 +302,7 @@ def _triangle_excess(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
 
 
 def fractional_charge(cycle: PumpCycle, channel: int, mu: float,
-                      q: QuadratureSpec = QuadratureSpec(),
-                      n_time: int | None = None) -> float:
+                      q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge modulo 1 from the swept solid angle / 4 pi."""
-    path = sphere_path(cycle, channel, mu, q, n_time)
+    path = sphere_path(cycle, channel, mu, q)
     return spherical_polygon_area(path) / (2.0 * TWO_PI)

@@ -28,6 +28,13 @@ from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import (PumpCycle, TwoChannelParams, build_two_channel, stencil,
                       two_channel_matrices)
 
+# worst |S S^dagger - 1| accepted from `transfer_matrix_smatrix`
+TRANSFER_UNITARITY_TOL = 1e-9
+# b scan size, |r| bound and merge distance of `reflectionless_points`
+RESONANCE_SCAN = 800
+RESONANCE_TOL = 1e-6
+RESONANCE_SEPARATION = 1e-3
+
 
 def default_dispersion(energy: float) -> float:
     """k(E) = sqrt(2 E) (hbar = m = 1)."""
@@ -75,8 +82,8 @@ class PiecewisePotential:
             raise ValueError("breakpoints must be strictly increasing")
 
 
-def transfer_matrix_smatrix(potential: PiecewisePotential, energy: float,
-                            unitarity_tol: float = 1e-9) -> np.ndarray:
+def transfer_matrix_smatrix(potential: PiecewisePotential,
+                            energy: float) -> np.ndarray:
     """S = [[r, t'], [t, r']] of a piecewise-constant potential at energy E.
 
     Wavenumbers are k_i = sqrt(2 (E - V_i)); under a plateau the branch
@@ -120,7 +127,7 @@ def transfer_matrix_smatrix(potential: PiecewisePotential, energy: float,
     t = math.exp(-log_scale) / m[1, 1] if log_scale < 700.0 else 0.0
     s = np.array([[r, t], [t, rp]], dtype=np.complex128)
     defect = np.max(np.abs(s @ s.conj().T - np.eye(2)))
-    if defect > unitarity_tol:
+    if defect > TRANSFER_UNITARITY_TOL:
         raise NonUnitary(f"transfer-matrix S unitary only to {defect:.2e}")
     return s
 
@@ -338,9 +345,8 @@ def make_bicycle_cycle(geometry: BicycleGeometry = BicycleGeometry(),
     return PumpCycle(2, evaluate, period=period, label="bicycle")
 
 
-def reflectionless_points(geometry: BicycleGeometry, energy: float = 1.0,
-                          n_scan: int = 800, threshold: float = 1e-6,
-                          separation: float = 1e-3) -> list[tuple[float, float]]:
+def reflectionless_points(geometry: BicycleGeometry,
+                          energy: float = 1.0) -> list[tuple[float, float]]:
     """Interior (a, b) points where the pump is reflectionless at `energy`.
 
     Unit transmission through the double valve needs the piston level on
@@ -349,15 +355,15 @@ def reflectionless_points(geometry: BicycleGeometry, energy: float = 1.0,
     The piston must also stay below the energy for a propagating
     resonance, which bounds b.  A fine scan in b along that line feeds
     local minima to a two-dimensional polish; only polished points with
-    |r| below `threshold` are returned (the resonances are narrow, width
+    |r| below `RESONANCE_TOL` are returned (the resonances are narrow, width
     in b of order 1e-4 for the default geometry).
     """
     from scipy.optimize import minimize
 
     b_max = 1.05 * energy / 10.0
-    bs = np.linspace(1e-5, b_max, n_scan)
+    bs = np.linspace(1e-5, b_max, RESONANCE_SCAN)
     refl = np.array([abs(geometry.smatrix(0.5, b, energy)[0, 0]) for b in bs])
-    seeds = [bs[i] for i in range(1, n_scan - 1)
+    seeds = [bs[i] for i in range(1, RESONANCE_SCAN - 1)
              if refl[i] < refl[i - 1] and refl[i] < refl[i + 1]
              and refl[i] < 0.9]
 
@@ -372,10 +378,10 @@ def reflectionless_points(geometry: BicycleGeometry, energy: float = 1.0,
         res = minimize(objective, (0.5, b0), method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14,
                                 "maxiter": 400})
-        if res.fun > threshold:
+        if res.fun > RESONANCE_TOL:
             continue
         a, b = float(res.x[0]), float(res.x[1])
-        if all(math.hypot(a - a0, b - b0_) >= separation
+        if all(math.hypot(a - a0, b - b0_) >= RESONANCE_SEPARATION
                for a0, b0_ in points):
             points.append((a, b))
     return sorted(points, key=lambda p: p[1])

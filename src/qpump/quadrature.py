@@ -14,6 +14,10 @@ TWO_PI = 2.0 * math.pi
 class QuadratureSpec:
     """Knobs for differentiation and integration.
 
+    Every changeable grid size, finite-difference step and tolerance of
+    the S pipeline is a field here (fixed ones are module constants);
+    derive another resolution with ``dataclasses.replace(q, n_time=...)``.
+
     Finite-difference steps are relative: the energy step is
     ``h_e_rel * max(E, 1)`` and the time step is ``h_t_rel`` times the
     cycle's natural time scale (period, or pulse-window length).
@@ -31,22 +35,15 @@ class QuadratureSpec:
     richardson: bool = False
     unitarity_tol: float = 1e-8
     hermiticity_tol: float = 1e-9
-    omega_identity_tol: float = 1e-6
-    stokes_tol: float = 1e-6
-    numeric_tol: float = 1e-10
-    max_events: int = 1_000_000
 
     def __post_init__(self):
         for name in ("h_e_rel", "h_t_rel", "eps_diag_rel", "unitarity_tol",
-                     "hermiticity_tol", "omega_identity_tol", "stokes_tol",
-                     "numeric_tol", "energy_window"):
+                     "hermiticity_tol", "energy_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_energy", "n_time", "n_shot_time"):
             if getattr(self, name) < 16:
                 raise ValueError(f"{name} must be at least 16")
-        if self.max_events < 1:
-            raise ValueError("max_events must be at least 1")
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,9 @@ import numpy as np
 from .errors import NonUnitary, StencilOutOfDomain
 from .quadrature import TWO_PI, QuadratureSpec
 
+# worst |S S^dagger - 1| `decompose_two_channel` accepts
+DECOMPOSE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PumpCycle:
@@ -157,7 +160,7 @@ def two_channel_matrices(theta, alpha, phi, gamma) -> np.ndarray:
     return eg[..., None, None] * m
 
 
-def decompose_two_channel(s: np.ndarray, tol: float = 1e-10) -> TwoChannelParams:
+def decompose_two_channel(s: np.ndarray) -> TwoChannelParams:
     """Recover the canonical angles of a 2x2 unitary.
 
     Inverts `build_two_channel` with gamma reduced to [0, pi) and the
@@ -167,7 +170,7 @@ def decompose_two_channel(s: np.ndarray, tol: float = 1e-10) -> TwoChannelParams
     s = np.asarray(s, dtype=np.complex128)
     if s.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    _check_unitary(s, tol)
+    _check_unitary(s, DECOMPOSE_TOL)
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     gamma = (0.5 * np.angle(det)) % np.pi
     su = np.exp(-1j * gamma) * s

@@ -215,27 +215,16 @@ def _integration_interval(cycle: PumpCycle) -> tuple[float, float]:
 
 
 def cycle_charge(cycle: PumpCycle, state: ThermalState,
-                 q: QuadratureSpec = QuadratureSpec(),
-                 n_time: int | None = None) -> np.ndarray:
+                 q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Charge pumped into each channel over one period (or pulse window).
 
     Midpoint rule in time; for smooth periodic cycles this converges
     spectrally, and the nodes dodge path corners of piecewise drives.
     """
     t0, t1 = _integration_interval(cycle)
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
+    times, dt = midpoint_grid(t0, t1, q.n_time)
     charge = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[0]
     return charge.sum(axis=0) * dt
-
-
-def dissipated_heat(cycle: PumpCycle, state: ThermalState,
-                    q: QuadratureSpec = QuadratureSpec(),
-                    n_time: int | None = None) -> np.ndarray:
-    """Heat per cycle into each channel (time integral of dissipation)."""
-    t0, t1 = _integration_interval(cycle)
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
-    heat = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[1]
-    return heat.sum(axis=0) * dt
 
 
 def _wrap_angle(x):
@@ -305,8 +294,7 @@ class TransportReport:
 
 
 def transport_report(cycle: PumpCycle, state: ThermalState,
-                     q: QuadratureSpec = QuadratureSpec(),
-                     n_time: int | None = None) -> TransportReport:
+                     q: QuadratureSpec = QuadratureSpec()) -> TransportReport:
     """One-stop cycle summary used by the command-line front end.
 
     One stencil call covers every time node and every thermal node,
@@ -314,7 +302,7 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
     currents.
     """
     t0, t1 = _integration_interval(cycle)
-    times, dt = midpoint_grid(t0, t1, n_time or q.n_time)
+    times, dt = midpoint_grid(t0, t1, q.n_time)
     finite_t = state.temperature > 0.0
     energies, mass = _thermal_mass(state, q)
     charge, diss, off = _thermal_rates(cycle, times, energies, mass, q,

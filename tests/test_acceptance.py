@@ -33,7 +33,7 @@ def test_c01_uturn_charge_is_quantized_and_winding_matches():
         cyc = qp.make_uturn_cycle(ell=1.0,
                                   flux=lambda t, s=sign: s * TWO_PI * t,
                                   period=1.0)
-        charge = qp.cycle_charge(cyc, qp.ThermalState(mu=1.0), Q, n_time=512)
+        charge = qp.cycle_charge(cyc, qp.ThermalState(mu=1.0), Q)
         assert abs(charge[0] + sign) < 1e-6
         assert abs(charge[1] - sign) < 1e-6
         assert qp.amplitude_winding(cyc, 0, 1.0, Q) == int(sign)

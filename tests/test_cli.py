@@ -135,6 +135,51 @@ def test_config_file_problems_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["omega_identity_tol", "stokes_tol",
+                                 "numeric_tol", "max_events"])
+def test_removed_quadrature_keys_are_unknown(tmp_path, capsys, key):
+    cfg = _write(tmp_path, "quad.json",
+                 {"model": {"kind": "battery"}, "quadrature": {key: 5}})
+    assert cli.main(["transport", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "quadrature" in err and key in err
+
+
+def _battery(section: str) -> str:
+    return '{"model": {"kind": "battery"}, %s}' % section
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("transport", _battery('"state": {"mu": NaN}'), id="mu-nan"),
+    pytest.param("transport", _battery('"quadrature": {"h_t_rel": NaN}'),
+                 id="h_t_rel-nan"),
+    pytest.param("transport",
+                 '{"model": {"kind": "battery", "params": {"phi_rate": NaN}}}',
+                 id="phi_rate-nan"),
+    pytest.param("noise",
+                 '{"pulse": {"kind": "battery", "window": [0, Infinity]}}',
+                 id="window-inf"),
+    pytest.param("transport", _battery('"quadrature": {"n_time": Infinity}'),
+                 id="n_time-inf"),
+    pytest.param("transport", _battery('"quadrature": {"n_time": -Infinity}'),
+                 id="n_time-minus-inf"),
+    pytest.param("transport", _battery('"quadrature": {"n_time": NaN}'),
+                 id="n_time-nan"),
+    pytest.param("transport", _battery('"state": {"mu": 1e400}'),
+                 id="mu-1e400"),
+    pytest.param("transport", _battery('"state": {"mu": 1%s}' % ("0" * 400)),
+                 id="mu-int-1e400"),
+    pytest.param("transport", _battery('"quadrature": {"n_time": 16.5}'),
+                 id="n_time-16.5"),
+])
+def test_non_finite_or_non_integral_numbers_exit_2(tmp_path, capsys,
+                                                    command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_theta_range_violation_exits_2(tmp_path, capsys):
     # theta(t) = 0.8 + 0.9 sin(...) leaves [0, pi/2]: a configuration
     # error, caught when the model is built rather than when it is sampled

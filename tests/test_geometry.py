@@ -7,6 +7,7 @@ around its rim is sin^2(theta / 2) up to orientation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,3 +172,18 @@ def test_cylinder_charge_requires_flat_bottom():
     cyc = qp.make_random_analytic_cycle(2, rng)  # moves at E = 0
     with pytest.raises(ValueError):
         qp.cylinder_charge(cyc, 0, 0.8, Q)
+
+
+def test_cylinder_charge_band_edge_and_channel_errors():
+    def evaluate(energy, time):
+        if abs(energy - 0.5) < 1e-9:
+            raise qp.EnergyAtBandEdge("plateau at E = 0.5")
+        return np.eye(2)
+
+    cyc = qp.PumpCycle(2, evaluate, period=1.0)
+    q = replace(Q, n_time=16)
+    with pytest.raises(qp.RegionTouchesDiscontinuity):
+        qp.cylinder_charge(cyc, 0, 1.0, q)
+    for channel in (-1, 2):
+        with pytest.raises(ValueError, match="channel"):
+            qp.cylinder_charge(cyc, channel, 1.0, q)
