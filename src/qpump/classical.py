@@ -288,17 +288,14 @@ def liouville_residual(spec: PlowSpec, energy: float, time_in: float,
 # ---------------------------------------------------------------------------
 # classical battery: linearly growing vector potential
 
-def _step_and_slope(u: float) -> tuple[float, float]:
-    """C-infinity unit step on [0, 1] and its derivative."""
-    if u <= 0.0:
-        return 0.0, 0.0
-    if u >= 1.0:
-        return 1.0, 0.0
+def _step_slope(u: float) -> float:
+    """Derivative of the C-infinity unit step on [0, 1]."""
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
     a = math.exp(-1.0 / u)
     b = math.exp(-1.0 / (1.0 - u))
     denom = (a + b) ** 2
-    slope = a * b * (1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2) / denom
-    return a / (a + b), slope
+    return a * b * (1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2) / denom
 
 
 @dataclass(frozen=True)
@@ -327,8 +324,7 @@ def classical_battery_shift(delta_phi: float, energy: float,
     w = half_width
 
     def slope(x: float) -> float:
-        _, ds = _step_and_slope((x + w) / (2.0 * w))
-        return delta_phi * ds / (2.0 * w)
+        return delta_phi * _step_slope((x + w) / (2.0 * w)) / (2.0 * w)
 
     def curvature(x: float, h: float = 1e-6) -> float:
         return (slope(x + h) - slope(x - h)) / (2.0 * h)

@@ -51,9 +51,14 @@ from .transport import (ThermalState, birman_krein_residual, bpt_current,
 _TOP_KEYS = {"model", "state", "quadrature", "classical", "pulse"}
 _STATE_KEYS = {"mu", "temperature"}
 _CLASSICAL_KEYS = {"height", "speed", "travel_time"}
-_PULSE_KINDS = {"battery", "sink", "optimal", "random"}
-_PULSE_KEYS = {"kind", "window", "theta", "phi_total", "gamma_total",
-               "amplitude", "n_channels", "seed"}
+# two-channel pulse kind -> (maker, key of the total angle it sweeps)
+_SWEPT_PULSES = {"battery": (models.make_battery_cycle, "phi_total"),
+                 "optimal": (models.make_optimal_cycle, "phi_total"),
+                 "sink": (models.make_sink_cycle, "gamma_total")}
+# pulse kind -> keys it takes besides "kind" and "window"
+_PULSE_KEYS = {"random": {"amplitude", "n_channels", "seed"},
+               **{kind: {"theta", key}
+                  for kind, (_, key) in _SWEPT_PULSES.items()}}
 _QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)}
 
 
@@ -76,6 +81,17 @@ def _number(section: dict, key: str, path: str, default=None):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              "expected a number", f"{path}.{key}")
     return float(value)
+
+
+def _integer(section: dict, key: str, path: str, default=None) -> int:
+    value = _number(section, key, path, default)
+    _require(float(value).is_integer(), "expected an integer", f"{path}.{key}")
+    return int(value)
+
+
+def _count_flag(value: int, flag: str) -> int:
+    _require(value >= 0, "expected a non-negative integer", flag)
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -124,12 +140,10 @@ def build_quadrature(cfg: dict, args) -> QuadratureSpec:
             _require(isinstance(value, bool), "expected true/false",
                      f"quadrature.{key}")
             fields[key] = value
+        elif key.startswith("n_"):
+            fields[key] = _integer(section, key, "quadrature")
         else:
             fields[key] = _number(section, key, "quadrature")
-            if key.startswith("n_"):
-                _require(fields[key].is_integer(), "expected an integer",
-                         f"quadrature.{key}")
-                fields[key] = int(fields[key])
     if getattr(args, "grid", None) is not None:
         fields["n_time"] = args.grid
     try:
@@ -169,45 +183,38 @@ def build_plow(cfg: dict) -> PlowSpec:
 def build_pulse(cfg: dict, seed: int) -> PumpCycle:
     _require("pulse" in cfg, "missing required section", "pulse")
     section = cfg["pulse"]
-    _check_keys(section, _PULSE_KEYS, "pulse")
+    _require(isinstance(section, dict), "expected an object", "pulse")
     kind = section.get("kind")
-    _require(kind in _PULSE_KINDS,
-             f"kind must be one of {sorted(_PULSE_KINDS)}", "pulse.kind")
+    _require(isinstance(kind, str) and kind in _PULSE_KEYS,
+             f"kind must be one of {sorted(_PULSE_KEYS)}", "pulse.kind")
+    _check_keys(section, {"kind", "window"} | _PULSE_KEYS[kind], "pulse")
     window = section.get("window", [0.0, 20.0])
     _require(isinstance(window, list) and len(window) == 2
-             and all(isinstance(v, (int, float)) for v in window)
+             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                     for v in window)
              and window[0] < window[1],
              "expected [start, end] with start < end", "pulse.window")
     t0, t1 = float(window[0]), float(window[1])
 
     if kind == "random":
-        n_ch = int(_number(section, "n_channels", "pulse", default=2.0))
+        n_ch = _integer(section, "n_channels", "pulse", default=2)
         _require(n_ch >= 1, "need at least one channel", "pulse.n_channels")
         amp = _number(section, "amplitude", "pulse", default=0.5)
-        rng = np.random.default_rng(int(_number(section, "seed", "pulse",
-                                                default=float(seed))))
-        return models.make_pulse_cycle(n_ch, rng, window=(t0, t1),
-                                       amplitude=amp)
+        pulse_seed = _integer(section, "seed", "pulse", default=seed)
+        _require(pulse_seed >= 0, "expected a non-negative integer",
+                 "pulse.seed")
+        return models.make_pulse_cycle(n_ch, np.random.default_rng(pulse_seed),
+                                       window=(t0, t1), amplitude=amp)
 
     theta = _number(section, "theta", "pulse", default=0.9)
     try:
         base = TwoChannelParams(theta=theta)
     except ValueError as exc:
         raise SchemaError(str(exc), "pulse.theta")
-    if kind == "battery":
-        total = _number(section, "phi_total", "pulse", default=TWO_PI)
-        return models.make_battery_cycle(
-            base, phi=lambda t: total * models.smooth_step(t, t0, t1),
-            window=(t0, t1))
-    if kind == "optimal":
-        total = _number(section, "phi_total", "pulse", default=TWO_PI)
-        return models.make_optimal_cycle(
-            base, phi=lambda t: total * models.smooth_step(t, t0, t1),
-            window=(t0, t1))
-    total = _number(section, "gamma_total", "pulse", default=TWO_PI)
-    return models.make_sink_cycle(
-        base, gamma=lambda t: total * models.smooth_step(t, t0, t1),
-        window=(t0, t1))
+    maker, key = _SWEPT_PULSES[kind]
+    total = _number(section, key, "pulse", default=TWO_PI)
+    return maker(base, lambda t: total * models.smooth_step(t, t0, t1),
+                 window=(t0, t1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def cmd_noise(args) -> int:
     cfg = load_config(args.config)
     state = build_state(cfg, args)
     q = build_quadrature(cfg, args)
-    pulse = build_pulse(cfg, args.seed)
+    pulse = build_pulse(cfg, _count_flag(args.seed, "--seed"))
     channel = args.channel
     if not 0 <= channel < pulse.n_channels:
         raise SchemaError("channel out of range", "channel")
@@ -369,9 +376,9 @@ def cmd_classical(args) -> int:
     cfg = load_config(args.config)
     state = build_state(cfg, args)
     plow = build_plow(cfg)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_count_flag(args.seed, "--seed"))
 
-    n = args.points
+    n = _count_flag(args.points, "--points")
     energies = rng.uniform(0.2 * plow.height, 3.0 * plow.height, size=n)
     times = rng.uniform(-2.0 * plow.travel_time, 2.0 * plow.travel_time,
                         size=n)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
+from .geometry import _check_channel, row_states
 from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre, midpoint_grid
 from .smatrix import PumpCycle
 from .transport import NOISE_NORM, ThermalState, _offdiag, cycle_charge
@@ -75,11 +76,12 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     integral runs over the window, the convention used throughout for
     pulse cumulants.
     """
+    _check_channel(cycle, channel)
     if state.temperature == 0.0:
         return 0.0
     t0, t1 = _window(cycle)
     times, dt = midpoint_grid(t0, t1, q.n_time)
-    diag = cycle.sample_grid(state.mu, times)[:, 0, channel, channel]
+    diag = row_states(cycle, channel, state.mu, times)[:, channel]
     total = sum(1.0 - np.abs(diag) ** 2)
     return float(state.temperature / math.pi * total * dt)
 
@@ -91,6 +93,7 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
         beta / (2 pi * 6) * integral dt of the off-diagonal row weight
         of the energy shift at mu.
     """
+    _check_channel(cycle, channel)
     if state.temperature == 0.0:
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     t0, t1 = _window(cycle)
@@ -132,7 +135,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     times, weights = _simpson(t0, t1, q.n_shot_time)
     n = times.size
 
-    rows = cycle.sample_grid(mu, times)[:, 0, channel]
+    rows = row_states(cycle, channel, mu, times)
     gram = rows @ rows.conj().T
     bmat = 1.0 - np.abs(gram) ** 2
     np.clip(bmat, 0.0, None, out=bmat)
@@ -194,7 +197,7 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     s = x / pi_t
     pairs = np.concatenate([(times[:, None] - 0.5 * s).ravel(),
                             (times[:, None] + 0.5 * s).ravel()])
-    rows = cycle.sample_grid(mu, pairs)[:, 0, channel]
+    rows = row_states(cycle, channel, mu, pairs)
     before, after = rows.reshape(2, times.size, x.size, -1)
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
@@ -227,6 +230,7 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                  q: QuadratureSpec = QuadratureSpec(),
                  include_direct: bool = False) -> NoiseReport:
     """Mean and variance of the pumped charge through one pulse."""
+    _check_channel(cycle, channel)
     mean = mean_transferred_charge(cycle, state, q)[channel]
     if state.temperature == 0.0:
         if include_direct:

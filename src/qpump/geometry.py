@@ -34,14 +34,18 @@ CYLINDER_ENERGIES = 48
 # ---------------------------------------------------------------------------
 # row loops and the global angle
 
+def _check_channel(cycle: PumpCycle, channel: int) -> None:
+    if not 0 <= channel < cycle.n_channels:
+        raise ValueError("channel index out of range")
+
+
 def row_states(cycle: PumpCycle, channel: int, energy: float,
                times: np.ndarray) -> np.ndarray:
     """Rows of S(energy, t) for t in `times`, shape (len(times), n).
 
     Possibly a read-only view, like `PumpCycle.sample_grid`.
     """
-    if not 0 <= channel < cycle.n_channels:
-        raise ValueError("channel index out of range")
+    _check_channel(cycle, channel)
     return cycle.sample_grid(energy, times)[:, 0, channel]
 
 
@@ -186,8 +190,7 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     """
     if cycle.period is None:
         raise ValueError("cylinder flux needs a periodic cycle")
-    if not 0 <= channel < cycle.n_channels:
-        raise ValueError("channel index out of range")
+    _check_channel(cycle, channel)
     times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
     energies = np.linspace(0.0, mu, CYLINDER_ENERGIES + 1)
     try:
@@ -235,7 +238,7 @@ def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
     if cycle.period is None:
         raise ValueError("winding needs a periodic cycle")
     times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
-    return winding_number(cycle.sample_grid(mu, times)[:, 0, channel, channel])
+    return winding_number(row_states(cycle, channel, mu, times)[:, channel])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ rigid translation of the scatterer), a battery shifts the transmission
 phases by phi(t) (a time-dependent flux / EMF), a sink multiplies the
 whole matrix by exp(i gamma(t)), and the optimal pump combines snowplow
 and battery phases so that the energy-shift matrix is diagonal.
-Phase models also provide `evaluate_grid`: each drive and the dispersion
-are called once per distinct time or energy, on scalars, and the
-matrices of the whole grid are built by broadcasting.  Potential models
+Phase models implement S once, as `evaluate_grid`: each drive and the
+dispersion are called once per distinct time or energy, on scalars, and
+the matrices of the whole grid are built by broadcasting; their point
+`evaluate` is the 1 x 1 grid.  Potential models
 build S(E) for piecewise-constant potentials by a
 transfer-matrix product; the bicycle pump (two valve barriers seesawing
 around a piston plateau) is the workhorse example of quantized
@@ -23,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnergyAtBandEdge, NonUnitary
+from .errors import EnergyAtBandEdge
 from .quadrature import TWO_PI, QuadratureSpec
-from .smatrix import (PumpCycle, TwoChannelParams, build_two_channel, stencil,
+from .smatrix import (PumpCycle, TwoChannelParams, _check_unitary,
+                      build_two_channel, point_evaluator, stencil,
                       two_channel_matrices)
 
 # worst |S S^dagger - 1| accepted from `transfer_matrix_smatrix`
@@ -126,9 +128,7 @@ def transfer_matrix_smatrix(potential: PiecewisePotential,
     rp = m[0, 1] / m[1, 1]
     t = math.exp(-log_scale) / m[1, 1] if log_scale < 700.0 else 0.0
     s = np.array([[r, t], [t, rp]], dtype=np.complex128)
-    defect = np.max(np.abs(s @ s.conj().T - np.eye(2)))
-    if defect > TRANSFER_UNITARITY_TOL:
-        raise NonUnitary(f"transfer-matrix S unitary only to {defect:.2e}")
+    _check_unitary(s, TRANSFER_UNITARITY_TOL)
     return s
 
 
@@ -154,24 +154,25 @@ def _over_energies(per_time: np.ndarray, energies: np.ndarray) -> np.ndarray:
                            (n_t, energies.size) + per_time.shape[1:])
 
 
+def _phase_cycle(label: str, evaluate_grid, period: float | None,
+                 window: tuple[float, float] | None) -> PumpCycle:
+    """Two-channel cycle whose S is implemented once, as a grid."""
+    return PumpCycle(2, point_evaluator(evaluate_grid), period=period,
+                     window=window, label=label, evaluate_grid=evaluate_grid)
+
+
 def make_snowplow_cycle(base: TwoChannelParams, xi: Callable[[float], float],
                         k_of_e: Callable[[float], float] = default_dispersion,
                         period: float | None = None,
                         window: tuple[float, float] | None = None) -> PumpCycle:
     """Rigid translation by xi(t): r, r' pick up phases e^{+-2 i k(E) xi}."""
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        alpha = base.alpha + 2.0 * k_of_e(e) * xi(t)
-        return build_two_channel(TwoChannelParams(
-            theta=base.theta, alpha=alpha, phi=base.phi, gamma=base.gamma))
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         alpha = base.alpha + 2.0 * _values(k_of_e, energies) \
             * _values(xi, times)[:, None]
         return two_channel_matrices(base.theta, alpha, base.phi, base.gamma)
 
-    return PumpCycle(2, evaluate, period=period, window=window,
-                     label="snowplow", evaluate_grid=evaluate_grid)
+    return _phase_cycle("snowplow", evaluate_grid, period, window)
 
 
 def make_battery_cycle(base: TwoChannelParams, phi: Callable[[float], float],
@@ -179,18 +180,12 @@ def make_battery_cycle(base: TwoChannelParams, phi: Callable[[float], float],
                        window: tuple[float, float] | None = None) -> PumpCycle:
     """EMF pulse or drive: t, t' pick up phases e^{+-i phi(t)}."""
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        return build_two_channel(TwoChannelParams(
-            theta=base.theta, alpha=base.alpha,
-            phi=base.phi + phi(t), gamma=base.gamma))
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         phis = base.phi + _values(phi, times)
         return _over_energies(two_channel_matrices(
             base.theta, base.alpha, phis, base.gamma), energies)
 
-    return PumpCycle(2, evaluate, period=period, window=window,
-                     label="battery", evaluate_grid=evaluate_grid)
+    return _phase_cycle("battery", evaluate_grid, period, window)
 
 
 def make_sink_cycle(base: TwoChannelParams, gamma: Callable[[float], float],
@@ -200,15 +195,11 @@ def make_sink_cycle(base: TwoChannelParams, gamma: Callable[[float], float],
     channels (a source or sink at the scatterer)."""
     s0 = build_two_channel(base)
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        return np.exp(1j * gamma(t)) * s0
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         phases = np.exp(1j * _values(gamma, times))
         return _over_energies(phases[:, None, None] * s0, energies)
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="sink",
-                     evaluate_grid=evaluate_grid)
+    return _phase_cycle("sink", evaluate_grid, period, window)
 
 
 def make_uturn_cycle(ell: float, flux: Callable[[float], float],
@@ -220,12 +211,6 @@ def make_uturn_cycle(ell: float, flux: Callable[[float], float],
         S = diag(e^{i(k(E) ell + Phi)}, e^{i(k(E) ell - Phi)}).
     """
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        optical = k_of_e(e) * ell
-        f = flux(t)
-        return np.diag([np.exp(1j * (optical + f)),
-                        np.exp(1j * (optical - f))]).astype(np.complex128)
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         optical = _values(k_of_e, energies) * ell
         f = _values(flux, times)[:, None]
@@ -234,8 +219,7 @@ def make_uturn_cycle(ell: float, flux: Callable[[float], float],
         s[..., 1, 1] = np.exp(1j * (optical - f))
         return s
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="uturn",
-                     evaluate_grid=evaluate_grid)
+    return _phase_cycle("uturn", evaluate_grid, period, window)
 
 
 def make_optimal_cycle(base: TwoChannelParams, phi: Callable[[float], float],
@@ -249,17 +233,12 @@ def make_optimal_cycle(base: TwoChannelParams, phi: Callable[[float], float],
     """
     s0 = build_two_channel(base)
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        f = phi(t)
-        return np.diag([np.exp(-1j * f), np.exp(1j * f)]) @ s0
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         f = _values(phi, times)
         rows = np.stack([np.exp(-1j * f), np.exp(1j * f)], axis=-1)
         return _over_energies(rows[:, :, None] * s0, energies)
 
-    return PumpCycle(2, evaluate, period=period, window=window,
-                     label="optimal", evaluate_grid=evaluate_grid)
+    return _phase_cycle("optimal", evaluate_grid, period, window)
 
 
 def make_custom_two_channel(theta: Callable[[float], float],
@@ -274,16 +253,12 @@ def make_custom_two_channel(theta: Callable[[float], float],
         return TwoChannelParams(theta=theta(t), alpha=alpha(t), phi=phi(t),
                                 gamma=gamma(t))
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        return build_two_channel(params(t))
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
         angles = np.array([[p.theta, p.alpha, p.phi, p.gamma]
                            for p in map(params, times)], dtype=float)
         return _over_energies(two_channel_matrices(*angles.T), energies)
 
-    return PumpCycle(2, evaluate, period=period, window=window, label="custom",
-                     evaluate_grid=evaluate_grid)
+    return _phase_cycle("custom", evaluate_grid, period, window)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +279,14 @@ class BicycleGeometry:
         if self.length <= self.delta or self.delta <= 0 or self.barrier <= 0:
             raise ValueError("need 0 < delta < length and barrier > 0")
 
-    def potential(self, a: float, b: float) -> PiecewisePotential:
-        return PiecewisePotential(
-            edges=(0.0, self.delta, self.length, self.length + self.delta),
-            values=(a * self.barrier, 10.0 * b, (1.0 - a) * self.barrier))
-
     def smatrix(self, a: float, b: float, energy: float) -> np.ndarray:
         # k = pi sqrt(E) in internal units == sqrt(2 E') after rescaling
         # all energies by pi^2 / 2.
         scale = math.pi ** 2 / 2.0
-        pot = self.potential(a, b)
-        scaled = PiecewisePotential(pot.edges,
-                                    tuple(scale * v for v in pot.values))
+        scaled = PiecewisePotential(
+            edges=(0.0, self.delta, self.length, self.length + self.delta),
+            values=(scale * (a * self.barrier), scale * (10.0 * b),
+                    scale * ((1.0 - a) * self.barrier)))
         return transfer_matrix_smatrix(scaled, scale * energy)
 
 
@@ -551,12 +522,9 @@ def _fill_params(spec: ModelSpec) -> dict[str, float]:
 def make_pump(spec: ModelSpec) -> PumpCycle:
     """Build the PumpCycle described by a ModelSpec."""
     p = _fill_params(spec)
-    if spec.kind in ("snowplow", "battery", "sink", "optimal",
-                     "custom-two-channel"):
-        base = TwoChannelParams(theta=p.get("theta", p.get("theta_base", 0.9)),
-                                alpha=p.get("alpha0", p.get("alpha_base", 0.0)),
-                                phi=p.get("phi0", p.get("phi_base", 0.0)),
-                                gamma=p.get("gamma0", p.get("gamma_base", 0.0)))
+    if spec.kind in ("snowplow", "battery", "sink", "optimal"):
+        base = TwoChannelParams(theta=p["theta"], alpha=p["alpha0"],
+                                phi=p["phi0"], gamma=p["gamma0"])
     if spec.kind == "snowplow":
         period = p["period"]
         amp = p["xi_amplitude"]

@@ -346,6 +346,19 @@ def curvature_identity(cycle: PumpCycle, energy: float, time: float,
         residual_mixed=float(np.max(np.abs(mixed - divergence))))
 
 
+def point_evaluator(evaluate_grid: Callable[[np.ndarray, np.ndarray],
+                                            np.ndarray]
+                    ) -> Callable[[float, float], np.ndarray]:
+    """`evaluate(E, t)` of a cycle whose S is implemented as a grid: the
+    1 x 1 grid, returned as a fresh writable array."""
+
+    def evaluate(energy: float, time: float) -> np.ndarray:
+        return np.array(evaluate_grid(np.array([energy], dtype=float),
+                                      np.array([time], dtype=float))[0, 0])
+
+    return evaluate
+
+
 def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
                              phases: np.ndarray,
                              k_of_e: Callable[[float], float] | None = None
@@ -363,15 +376,17 @@ def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
         raise ValueError("need one shift and one phase per channel")
     disp = k_of_e if k_of_e is not None else (lambda e: np.sqrt(2.0 * max(e, 0.0)))
 
-    def gauged(e: float, t: float) -> np.ndarray:
-        k = disp(e)
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        k = np.array([disp(e) for e in energies], dtype=float)[:, None]
         u = np.exp(1j * (k * shifts + phases))
         w = np.exp(1j * (k * shifts - phases))
-        return np.outer(u, w) * cycle.evaluate(e, t)
+        return (u[:, :, None] * w[:, None, :]
+                * cycle.sample_grid(energies, times))
 
-    return PumpCycle(n_channels=cycle.n_channels, evaluate=gauged,
+    return PumpCycle(n_channels=cycle.n_channels,
+                     evaluate=point_evaluator(evaluate_grid),
                      period=cycle.period, window=cycle.window,
-                     label=cycle.label + "+gauge")
+                     label=cycle.label + "+gauge", evaluate_grid=evaluate_grid)
 
 
 def verify_cycle(cycle: PumpCycle, energies: np.ndarray, times: np.ndarray,

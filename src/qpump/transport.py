@@ -59,10 +59,11 @@ class ThermalState:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("chemical potential must be positive")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        # written so that NaN fails both tests
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("chemical potential must be positive and finite")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
 
     @property
     def beta(self) -> float:

@@ -180,6 +180,42 @@ def test_non_finite_or_non_integral_numbers_exit_2(tmp_path, capsys,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("transport", ["--mu", "nan"], id="mu-nan"),
+    pytest.param("transport", ["--mu", "inf"], id="mu-inf"),
+    pytest.param("transport", ["--temperature", "inf"], id="temperature-inf"),
+    pytest.param("transport", ["--temperature", "nan"], id="temperature-nan"),
+    pytest.param("classical", ["--points", "-5"], id="points-negative"),
+    pytest.param("classical", ["--seed", "-1"], id="classical-seed-negative"),
+    pytest.param("noise", ["--seed", "-1"], id="noise-seed-negative"),
+])
+def test_bad_flag_values_exit_2(tmp_path, capsys, command, flags):
+    cfg = _write(tmp_path, "cfg.json",
+                 {"model": {"kind": "battery"},
+                  "pulse": {"kind": "random", "window": [0.0, 10.0]}})
+    assert cli.main([command, "--config", cfg, *flags]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pulse", [
+    pytest.param({"kind": "battery", "gamma_total": 3}, id="battery-gamma"),
+    pytest.param({"kind": "battery", "amplitude": 9}, id="battery-amplitude"),
+    pytest.param({"kind": "battery", "seed": 4}, id="battery-seed"),
+    pytest.param({"kind": "optimal", "n_channels": 7}, id="optimal-channels"),
+    pytest.param({"kind": "sink", "phi_total": 3}, id="sink-phi"),
+    pytest.param({"kind": "random", "theta": 0.5}, id="random-theta"),
+    pytest.param({"kind": "random", "n_channels": 2.7}, id="channels-2.7"),
+    pytest.param({"kind": "random", "seed": 3.9}, id="seed-3.9"),
+    pytest.param({"kind": "random", "seed": -4}, id="seed-negative"),
+    pytest.param({"kind": "battery", "window": [False, True]},
+                 id="window-bools"),
+])
+def test_bad_pulse_keys_exit_2(tmp_path, capsys, pulse):
+    cfg = _write(tmp_path, "pulse.json", {"pulse": pulse})
+    assert cli.main(["noise", "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_theta_range_violation_exits_2(tmp_path, capsys):
     # theta(t) = 0.8 + 0.9 sin(...) leaves [0, pi/2]: a configuration
     # error, caught when the model is built rather than when it is sampled

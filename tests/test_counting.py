@@ -201,3 +201,24 @@ def test_finite_t_paths_demand_a_temperature():
         qp.second_cumulant_direct(cyc, 0, cold)
     with pytest.raises(qp.ZeroTemperature):
         qp.noise_report(cyc, 0, cold, include_direct=True)
+
+
+WARM = qp.ThermalState(mu=1.0, temperature=2.0)
+CHANNEL_READERS = {
+    "thermal_noise": lambda cyc, ch: qp.thermal_noise(cyc, ch, WARM),
+    "shot_noise_finite_t": lambda cyc, ch: qp.shot_noise_finite_t(cyc, ch,
+                                                                  WARM),
+    "shot_noise_zero_t": lambda cyc, ch: qp.shot_noise_zero_t(cyc, ch, 1.0),
+    "second_cumulant_direct": lambda cyc, ch: qp.second_cumulant_direct(
+        cyc, ch, WARM),
+    "noise_report": lambda cyc, ch: qp.noise_report(cyc, ch, WARM),
+    "amplitude_winding": lambda _, ch: qp.amplitude_winding(
+        qp.make_pump(qp.ModelSpec("uturn")), ch, 1.0),
+}
+
+
+@pytest.mark.parametrize("channel", [-1, 2])
+@pytest.mark.parametrize("reader", sorted(CHANNEL_READERS))
+def test_channel_out_of_range_is_rejected(reader, channel):
+    with pytest.raises(ValueError, match="channel"):
+        CHANNEL_READERS[reader](_battery_pulse(), channel)

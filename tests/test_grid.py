@@ -43,6 +43,20 @@ def test_sample_grid_matches_pointwise_evaluate(kind):
     grid = cycle.sample_grid(ENERGIES, TIMES)
     assert grid.shape == (TIMES.size, ENERGIES.size, 2, 2)
     assert np.max(np.abs(grid - _pointwise(cycle, ENERGIES, TIMES))) <= 1e-15
+    assert cycle.evaluate(1.0, 0.3).flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["battery", "snowplow"])
+def test_gauged_phase_models_keep_the_grid_path(kind):
+    cycle = make_pump(ModelSpec(kind))
+    gauged = qp.apply_gauge_and_fiducial(cycle, shifts=np.array([0.3, -0.1]),
+                                         phases=np.array([1.0, -2.0]))
+    assert gauged.evaluate_grid is not None
+    grid = gauged.sample_grid(ENERGIES, TIMES)
+    assert np.max(np.abs(grid - _pointwise(gauged, ENERGIES, TIMES))) <= 1e-15
+    state = qp.ThermalState(mu=1.2)
+    assert np.max(np.abs(qp.cycle_charge(gauged, state, Q)
+                         - qp.cycle_charge(cycle, state, Q))) < 1e-9
 
 
 def test_fallback_loop_for_plain_cycles():
@@ -125,6 +139,6 @@ def test_custom_grid_is_no_more_permissive_than_evaluate():
         cycle.evaluate(1.0, 0.25)
     with pytest.raises(ValueError, match="theta must lie in"):
         cycle.sample_grid(ENERGIES, [0.1, 0.25])
-    with pytest.raises(ValueError, match="theta_amp"):
-        make_pump(ModelSpec("custom-two-channel",
-                            {"theta_base": 0.8, "theta_amp": 0.9}))
+    for params in ({"theta_base": 0.8, "theta_amp": 0.9}, {"theta_base": 2.0}):
+        with pytest.raises(ValueError, match="theta_base"):
+            make_pump(ModelSpec("custom-two-channel", params))
