@@ -35,7 +35,7 @@ from .models import (BicycleGeometry, GalileanCheck, ModelSpec,
                      make_pulse_cycle, make_pump, make_random_analytic_cycle,
                      make_sink_cycle, make_snowplow_cycle, make_uturn_cycle,
                      reflectionless_points, smooth_bump, smooth_step,
-                     transfer_matrix_smatrix, MODEL_KINDS)
+                     transfer_matrices, transfer_matrix_smatrix, MODEL_KINDS)
 from .classical import (BatteryFieldResult, PlowSpec, ScatterResult,
                         classical_battery_shift, classical_energy_shift,
                         classical_scatter, inverse_scatter, liouville_residual,

@@ -94,13 +94,17 @@ def _first_crossing(spec: PlowSpec, x_ref: float, v: float, t_ref: float,
     return best
 
 
+def _check_lead(channel: int) -> None:
+    if channel not in (0, 1):
+        raise ValueError("channel must be 0 (left) or 1 (right)")
+
+
 def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
                       channel: int, max_events: int = 64) -> ScatterResult:
     """Map an incoming asymptotic state through the plow."""
     if energy <= 0.0:
         raise ValueError("incoming energy must be positive")
-    if channel not in (0, 1):
-        raise ValueError("channel must be 0 (left) or 1 (right)")
+    _check_lead(channel)
     v = math.sqrt(2.0 * energy) * (1.0 if channel == 0 else -1.0)
     x_ref, t_ref, after = 0.0, float(time_in), -math.inf
     events = 0
@@ -154,6 +158,7 @@ def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
     the barrier parked (threshold E > height); inside, it meets the
     moving wall and the threshold shifts to the barrier frame.
     """
+    _check_lead(channel)
     s = math.sqrt(2.0 * energy)
     v0, w, h = spec.speed, spec.travel_time, spec.height
     if channel == 0:
@@ -168,6 +173,7 @@ def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
 def partition_margin(spec: PlowSpec, energy: float, time_in: float,
                      channel: int) -> float:
     """Distance of an incoming point to the nearest partition boundary."""
+    _check_lead(channel)
     s = math.sqrt(2.0 * energy)
     v0, w, h = spec.speed, spec.travel_time, spec.height
     sign = -1.0 if channel == 0 else 1.0

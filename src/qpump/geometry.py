@@ -245,17 +245,22 @@ def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
 # two-channel sphere picture
 
 def hopf_vector(row: np.ndarray) -> np.ndarray:
-    """Phase-invariant image of a two-channel row on the unit sphere."""
+    """Phase-invariant image of two-channel rows on the unit sphere.
+
+    `row` has shape (..., 2); the result has shape (..., 3).
+    """
     row = np.asarray(row, dtype=np.complex128)
-    if row.shape != (2,):
-        raise ValueError("need a length-2 row")
-    a, b = row
+    if row.ndim < 1 or row.shape[-1] != 2:
+        raise ValueError("need rows of length 2")
+    # always a 2-d stack, so one row takes the same array arithmetic
+    # as a row of a stack
+    a, b = row.reshape(-1, 2).T
     cross = 2.0 * a * b.conj()
-    n = np.array([cross.real, cross.imag, abs(a) ** 2 - abs(b) ** 2])
-    norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-8:
+    n = np.stack([cross.real, cross.imag, abs(a) ** 2 - abs(b) ** 2], axis=-1)
+    norm = np.linalg.norm(n, axis=-1, keepdims=True)
+    if np.any(np.abs(norm - 1.0) > 1e-8):
         raise ValueError("row is not a unit vector")
-    return n / norm
+    return (n / norm).reshape(row.shape[:-1] + (3,))
 
 
 def sphere_path(cycle: PumpCycle, channel: int, mu: float,
@@ -264,8 +269,7 @@ def sphere_path(cycle: PumpCycle, channel: int, mu: float,
     if cycle.period is None:
         raise ValueError("sphere path needs a periodic cycle")
     times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
-    states = row_states(cycle, channel, mu, times)
-    return np.array([hopf_vector(s) for s in states])
+    return hopf_vector(row_states(cycle, channel, mu, times))
 
 
 def spherical_polygon_area(points: np.ndarray) -> float:
@@ -282,7 +286,8 @@ def spherical_polygon_area(points: np.ndarray) -> float:
     norms = np.linalg.norm(pts, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("path points must lie on the unit sphere")
-    gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    nxt = np.roll(pts, -1, axis=0)
+    gaps = np.linalg.norm(nxt - pts, axis=1)
     if np.max(gaps) > math.sqrt(2.0):
         raise GridTooCoarse("sphere path jumps by a quarter turn or more")
     centroid = pts.mean(axis=0)
@@ -290,18 +295,10 @@ def spherical_polygon_area(points: np.ndarray) -> float:
         apex = centroid / np.linalg.norm(centroid)
     else:
         apex = np.array([0.0, 0.0, 1.0])
-    total = 0.0
-    for k in range(pts.shape[0]):
-        b = pts[k]
-        c = pts[(k + 1) % pts.shape[0]]
-        total += _triangle_excess(apex, b, c)
-    return total
-
-
-def _triangle_excess(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    num = float(np.dot(a, np.cross(b, c)))
-    den = 1.0 + float(np.dot(a, b) + np.dot(b, c) + np.dot(c, a))
-    return 2.0 * math.atan2(num, den)
+    # triangle (apex, b, c) for every edge b -> c of the path
+    num = np.cross(pts, nxt) @ apex
+    den = 1.0 + (pts @ apex + np.sum(pts * nxt, axis=1) + nxt @ apex)
+    return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
 def fractional_charge(cycle: PumpCycle, channel: int, mu: float,

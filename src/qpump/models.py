@@ -9,11 +9,13 @@ and battery phases so that the energy-shift matrix is diagonal.
 Phase models implement S once, as `evaluate_grid`: each drive and the
 dispersion are called once per distinct time or energy, on scalars, and
 the matrices of the whole grid are built by broadcasting; their point
-`evaluate` is the 1 x 1 grid.  Potential models
-build S(E) for piecewise-constant potentials by a
-transfer-matrix product; the bicycle pump (two valve barriers seesawing
-around a piston plateau) is the workhorse example of quantized
-transport.
+`evaluate` is the 1 x 1 grid.  Potential models build S(E) for
+piecewise-constant potentials by a transfer-matrix product, one kernel,
+`transfer_matrices`, over a whole stack of potentials and energies; the
+bicycle pump (two valve barriers seesawing around a piston plateau) is
+the workhorse example of quantized transport.  Its S, too, is
+implemented only as `evaluate_grid`: the path is taken once per time and
+the kernel runs once per grid.
 """
 
 from __future__ import annotations
@@ -88,54 +90,85 @@ def transfer_matrix_smatrix(potential: PiecewisePotential,
                             energy: float) -> np.ndarray:
     """S = [[r, t'], [t, r']] of a piecewise-constant potential at energy E.
 
-    Wavenumbers are k_i = sqrt(2 (E - V_i)); under a plateau the branch
-    gives k = i kappa and the growing exponential is controlled by
-    rescaling the running transfer matrix, so opaque barriers go over
-    smoothly to their analytic limit (t underflows to 0, |r| -> 1).
-    Fiducial points sit at the first and last breakpoints.  Channel 1 is
-    the left lead, channel 2 the right lead; E must exceed both lead
-    potentials (zero).  If E coincides with a plateau to 1e-12 it is
-    nudged by 1e-10 to avoid the band-edge singularity of the matching
-    conditions.
+    The one-point case of `transfer_matrices`, which documents the
+    conventions and checks.
     """
-    if energy <= 0.0:
+    return transfer_matrices(np.asarray(potential.values, dtype=float)[None],
+                             np.diff(potential.edges),
+                             np.array([energy], dtype=float))[0]
+
+
+def transfer_matrices(values: np.ndarray, widths: np.ndarray,
+                      energies: np.ndarray) -> np.ndarray:
+    """S of P piecewise-constant potentials, one energy each: (P, 2, 2).
+
+    Row p has plateau values `values[p]` (shape (P, L)) over the common
+    plateau `widths` (L,) and is taken at `energies[p]`.  Wavenumbers are
+    k_i = sqrt(2 (E - V_i)); under a plateau the branch gives
+    k = i kappa and the growing exponential is controlled by rescaling
+    the running transfer matrix, so opaque barriers go over smoothly to
+    their analytic limit (t underflows to 0, |r| -> 1).  Fiducial points
+    sit at the first and last breakpoints.  Channel 1 is the left lead,
+    channel 2 the right lead; every energy must exceed both lead
+    potentials (zero).  An energy within 1e-12 of a plateau of its row
+    is nudged by 1e-10 to avoid the band-edge singularity of the
+    matching conditions.  Each 2 x 2 product is a stacked `np.matmul`,
+    so a row equals its one-point call bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1 or widths.ndim != 1 \
+            or values.shape != (energies.size, widths.size):
+        raise ValueError("need values (P, L), widths (L,) and energies (P,)")
+    if (energies <= 0.0).any():
         raise ValueError("energy must be positive (leads are at V = 0)")
-    if any(abs(energy - v) < 1e-12 for v in potential.values):
-        energy += 1e-10
-        if any(abs(energy - v) < 1e-12 for v in potential.values):
+    near = (np.abs(energies[:, None] - values) < 1e-12).any(axis=1)
+    if near.any():
+        energies = np.where(near, energies + 1e-10, energies)
+        if (near & (np.abs(energies[:, None] - values) < 1e-12)
+                .any(axis=1)).any():
             raise EnergyAtBandEdge("energy pinned to a plateau value")
 
-    k_lead = complex(math.sqrt(2.0 * energy))
-    widths = np.diff(potential.edges)
-    m = np.eye(2, dtype=np.complex128)
-    log_scale = 0.0
+    k_lead = np.sqrt(2.0 * energies).astype(np.complex128)
+    m = np.zeros((energies.size, 2, 2), dtype=np.complex128)
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    diag = np.zeros_like(m)
+    log_scale = np.zeros(energies.size)
     k_prev = k_lead
-    for v, w in zip(potential.values, widths):
-        k = np.sqrt(complex(2.0 * (energy - v)))
-        m = _interface(k_prev, k) @ m
+    for v, w in zip(values.T, widths):
+        k = np.sqrt((2.0 * (energies - v)).astype(np.complex128))
+        m = _interfaces(k_prev, k) @ m
         phase = 1j * k * w
-        if phase.real < -700.0:        # opaque segment: clamp the decay
-            phase = complex(-700.0, phase.imag)
-        m = np.diag([np.exp(phase), np.exp(-phase)]) @ m
+        opaque = phase.real < -700.0       # opaque segment: clamp the decay
+        phase.real[opaque] = -700.0
+        diag[:, 0, 0] = np.exp(phase)
+        diag[:, 1, 1] = np.exp(-phase)
+        m = diag @ m
         k_prev = k
-        top = np.max(np.abs(m))
-        if top > 1e100:
-            m /= top
-            log_scale += math.log(top)
-    m = _interface(k_prev, k_lead) @ m
+        top = np.abs(m).max(axis=(1, 2))
+        big = top > 1e100
+        if big.any():
+            m[big] /= top[big, None, None]
+            log_scale[big] += np.log(top[big])
+    m = _interfaces(k_prev, k_lead) @ m
 
-    r = -m[1, 0] / m[1, 1]
-    rp = m[0, 1] / m[1, 1]
-    t = math.exp(-log_scale) / m[1, 1] if log_scale < 700.0 else 0.0
-    s = np.array([[r, t], [t, rp]], dtype=np.complex128)
+    s = np.empty_like(m)
+    s[:, 0, 0] = -m[:, 1, 0] / m[:, 1, 1]
+    s[:, 0, 1] = s[:, 1, 0] = np.where(log_scale < 700.0,
+                                       np.exp(-log_scale) / m[:, 1, 1], 0.0)
+    s[:, 1, 1] = m[:, 0, 1] / m[:, 1, 1]
     _check_unitary(s, TRANSFER_UNITARITY_TOL)
     return s
 
 
-def _interface(k_from: complex, k_to: complex) -> np.ndarray:
+def _interfaces(k_from: np.ndarray, k_to: np.ndarray) -> np.ndarray:
+    """Matching matrices of a stack of steps k_from -> k_to: (P, 2, 2)."""
     ratio = k_from / k_to
-    return 0.5 * np.array([[1.0 + ratio, 1.0 - ratio],
-                           [1.0 - ratio, 1.0 + ratio]], dtype=np.complex128)
+    out = np.empty((ratio.size, 2, 2), dtype=np.complex128)
+    out[:, 0, 0] = out[:, 1, 1] = 1.0 + ratio
+    out[:, 0, 1] = out[:, 1, 0] = 1.0 - ratio
+    return 0.5 * out
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +312,24 @@ class BicycleGeometry:
         if self.length <= self.delta or self.delta <= 0 or self.barrier <= 0:
             raise ValueError("need 0 < delta < length and barrier > 0")
 
-    def smatrix(self, a: float, b: float, energy: float) -> np.ndarray:
+    def smatrix(self, a, b, energy) -> np.ndarray:
+        """S at valve setting a, piston level b and energy E.
+
+        The three arguments broadcast against each other; the result has
+        their broadcast shape followed by (2, 2).
+        """
         # k = pi sqrt(E) in internal units == sqrt(2 E') after rescaling
         # all energies by pi^2 / 2.
         scale = math.pi ** 2 / 2.0
-        scaled = PiecewisePotential(
-            edges=(0.0, self.delta, self.length, self.length + self.delta),
-            values=(scale * (a * self.barrier), scale * (10.0 * b),
-                    scale * ((1.0 - a) * self.barrier)))
-        return transfer_matrix_smatrix(scaled, scale * energy)
+        a, b, energy = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                             for x in (a, b, energy)))
+        values = np.stack([scale * (a * self.barrier), scale * (10.0 * b),
+                           scale * ((1.0 - a) * self.barrier)], axis=-1)
+        widths = np.diff((0.0, self.delta, self.length,
+                          self.length + self.delta))
+        s = transfer_matrices(values.reshape(-1, 3), widths,
+                              (scale * energy).ravel())
+        return s.reshape(a.shape + (2, 2))
 
 
 def bicycle_path(tau: float) -> tuple[float, float]:
@@ -309,11 +351,13 @@ def bicycle_path(tau: float) -> tuple[float, float]:
 
 def make_bicycle_cycle(geometry: BicycleGeometry = BicycleGeometry(),
                        period: float = 1.0) -> PumpCycle:
-    def evaluate(e: float, t: float) -> np.ndarray:
-        a, b = bicycle_path(t / period)
-        return geometry.smatrix(a, b, e)
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        path = np.array([bicycle_path(t / period) for t in times],
+                        dtype=float).reshape(-1, 2)
+        return geometry.smatrix(path[:, :1], path[:, 1:], energies)
 
-    return PumpCycle(2, evaluate, period=period, label="bicycle")
+    return PumpCycle(2, point_evaluator(evaluate_grid), period=period,
+                     label="bicycle", evaluate_grid=evaluate_grid)
 
 
 def reflectionless_points(geometry: BicycleGeometry,
@@ -333,7 +377,7 @@ def reflectionless_points(geometry: BicycleGeometry,
 
     b_max = 1.05 * energy / 10.0
     bs = np.linspace(1e-5, b_max, RESONANCE_SCAN)
-    refl = np.array([abs(geometry.smatrix(0.5, b, energy)[0, 0]) for b in bs])
+    refl = np.abs(geometry.smatrix(0.5, bs, energy)[:, 0, 0])
     seeds = [bs[i] for i in range(1, RESONANCE_SCAN - 1)
              if refl[i] < refl[i - 1] and refl[i] < refl[i + 1]
              and refl[i] < 0.9]

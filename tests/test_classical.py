@@ -92,6 +92,14 @@ def test_partition_margin_vanishes_on_critical_energy():
     assert qp.predicted_transmit(SPEC, e_crit + 1e-4, 2.0, 1) is True
 
 
+def test_partition_rejects_unknown_channels():
+    for channel in (2, -1):
+        with pytest.raises(ValueError, match="channel must be 0"):
+            qp.partition_margin(SPEC, 0.8, 0.3, channel)
+        with pytest.raises(ValueError, match="channel must be 0"):
+            qp.predicted_transmit(SPEC, 0.8, 0.3, channel)
+
+
 def test_energy_shift_closed_form_in_sweep():
     # exit at the Fermi level during the sweep; inverting the bounce map
     # s_out = s_in +- 2 v0 gives asymmetric gains for the two leads

@@ -158,6 +158,21 @@ def test_hopf_vector_is_unit_length():
     assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
 
 
+def test_hopf_vector_on_a_stack_of_rows():
+    rng = np.random.default_rng(42)
+    z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    stacked = qp.hopf_vector(z)
+    assert stacked.shape == (40, 3)
+    assert np.array_equal(stacked, np.array([qp.hopf_vector(r) for r in z]))
+    assert qp.hopf_vector(z.reshape(4, 10, 2)).shape == (4, 10, 3)
+    z[17] *= 1.001
+    with pytest.raises(ValueError, match="unit vector"):
+        qp.hopf_vector(z)
+    with pytest.raises(ValueError, match="length 2"):
+        qp.hopf_vector(np.ones((5, 3)))
+
+
 def test_cylinder_charge_matches_cycle_charge():
     rng = np.random.default_rng(43)
     cyc = qp.make_random_analytic_cycle(2, rng, zero_energy_flat=True)

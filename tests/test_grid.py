@@ -46,6 +46,19 @@ def test_sample_grid_matches_pointwise_evaluate(kind):
     assert cycle.evaluate(1.0, 0.3).flags.writeable
 
 
+def test_bicycle_grid_equals_point_loop_bitwise():
+    # times straddle the corners of the (a, b) path, 1e-6 on either side
+    cycle = qp.make_bicycle_cycle(qp.BicycleGeometry(length=1.37),
+                                  period=0.7)
+    assert cycle.evaluate_grid is not None
+    corners = 0.7 * np.array([0.25, 0.5, 0.75])
+    times = np.concatenate([corners - 1e-6, corners + 1e-6, [0.7 - 1e-6]])
+    energies = np.array([0.3, 0.7, 1.0, 1.4, 2.0])
+    grid = cycle.sample_grid(energies, times)
+    assert grid.shape == (7, 5, 2, 2)
+    assert np.array_equal(grid, _pointwise(cycle, energies, times))
+
+
 @pytest.mark.parametrize("kind", ["battery", "snowplow"])
 def test_gauged_phase_models_keep_the_grid_path(kind):
     cycle = make_pump(ModelSpec(kind))

@@ -132,6 +132,32 @@ def test_transfer_matrix_opaque_and_band_edge():
         qp.transfer_matrix_smatrix(twin, 1.0)
 
 
+def test_transfer_matrix_batch_rows_match_point_calls():
+    # one batch through every branch of the kernel: an ordinary row, a
+    # rescaled row (running matrix past 1e100, t > 0 but tiny), a clamped
+    # row (decay past -700 and t = 0) and a row nudged off a plateau
+    edges = (0.0, 10.0, 40.0)
+    rows = [((2.0, 0.5), 3.0), ((400.0, 0.0), 1.0), ((400.0, 400.0), 1.0),
+            ((2.0, 0.5), 2.0)]
+    values = np.array([v for v, _ in rows])
+    energies = np.array([e for _, e in rows])
+    s = qp.transfer_matrices(values, np.diff(edges), energies)
+    assert s.shape == (4, 2, 2)
+    for row, (v, e) in zip(s, rows):
+        one = qp.transfer_matrix_smatrix(
+            qp.PiecewisePotential(edges=edges, values=v), e)
+        assert np.array_equal(row, one)
+        assert np.max(np.abs(row @ row.conj().T - np.eye(2))) < 1e-9
+    assert 0.0 < abs(s[1, 1, 0]) < 1e-100
+    assert s[2, 1, 0] == 0.0 and abs(abs(s[2, 0, 0]) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="widths"):
+        qp.transfer_matrices(values, np.diff(edges)[:1], energies)
+    # a pinned row fails the whole batch
+    pinned = np.vstack([values, [1.0, 1.0 + 1e-10]])
+    with pytest.raises(qp.EnergyAtBandEdge):
+        qp.transfer_matrices(pinned, np.diff(edges), np.append(energies, 1.0))
+
+
 def test_uturn_matrix_form():
     ell = 1.3
     cyc = qp.make_uturn_cycle(ell, flux=lambda t: 0.7, period=1.0)
