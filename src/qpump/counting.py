@@ -23,14 +23,16 @@ import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
-from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
 from .smatrix import PumpCycle
 from .transport import NOISE_NORM, ThermalState, _offdiag, cycle_charge
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
 SETTLE_TOL = 1e-6
 # Gauss-Legendre rule of the inner x = pi T (t - t') integral of
-# `second_cumulant_direct`: node count and reach in x
+# `second_cumulant_direct`: node count and reach in x.  The count must
+# stay even, so that no node lands on x = 0, where the integrand
+# b / sinh^2 x is 0 / 0.
 KERNEL_NODES = 64
 KERNEL_REACH = 30.0
 
@@ -79,8 +81,8 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     _check_channel(cycle, channel)
     if state.temperature == 0.0:
         return 0.0
-    t0, t1 = _window(cycle)
-    times, dt = midpoint_grid(t0, t1, q.n_time)
+    _window(cycle)
+    times, dt = cycle.time_grid(q.n_time)
     diag = row_states(cycle, channel, state.mu, times)[:, channel]
     total = sum(1.0 - np.abs(diag) ** 2)
     return float(state.temperature / math.pi * total * dt)
@@ -96,8 +98,8 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
     _check_channel(cycle, channel)
     if state.temperature == 0.0:
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
-    t0, t1 = _window(cycle)
-    times, dt = midpoint_grid(t0, t1, q.n_time)
+    _window(cycle)
+    times, dt = cycle.time_grid(q.n_time)
     total = sum(_offdiag(cycle, state.mu, times, q)[:, channel])
     return float(state.beta / (TWO_PI * NOISE_NORM) * total * dt)
 
@@ -182,18 +184,13 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     if state.temperature == 0.0:
         raise ZeroTemperature("the direct evaluation needs a thermal kernel")
     _check_pulse(cycle, state.mu)
-    t0, t1 = _window(cycle)
     mu = state.mu
     pi_t = math.pi * state.temperature
 
     single = thermal_noise(cycle, channel, state, q)
 
-    times, dt = midpoint_grid(t0, t1, q.n_time)
-    x_nodes, x_weights = gauss_legendre(-KERNEL_REACH, KERNEL_REACH,
-                                         KERNEL_NODES)
-
-    near = np.abs(x_nodes) < 1e-4
-    x, wx = x_nodes[~near], x_weights[~near]
+    times, dt = cycle.time_grid(q.n_time)
+    x, wx = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
     s = x / pi_t
     pairs = np.concatenate([(times[:, None] - 0.5 * s).ravel(),
                             (times[:, None] + 0.5 * s).ravel()])
@@ -202,12 +199,6 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
     inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
-    if np.any(near):
-        xn = x_nodes[near]
-        ratio = np.divide(xn, np.sinh(xn), out=np.ones_like(xn),
-                          where=xn != 0.0)
-        inner += _offdiag(cycle, mu, times, q)[:, channel] \
-            * np.sum(x_weights[near] * ratio ** 2) / pi_t ** 2
     double = float(np.sum(inner)) * pi_t * dt / (4.0 * math.pi ** 2)
 
     return single + double

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (EnergyAtBandEdge, GridTooCoarse, PhaseUnwrapFailure,
                      RegionTouchesDiscontinuity)
-from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import PumpCycle
 
 # energy intervals of the [0, mu] x cycle surface in `cylinder_charge`
@@ -73,12 +73,17 @@ def global_angle(states: np.ndarray, closed: bool = True) -> float:
     return float(np.sum(np.angle(_links(cur, nxt))))
 
 
+def _period_times(cycle: PumpCycle, q: QuadratureSpec) -> np.ndarray:
+    """Time nodes of one period; the loop formulas need a closed cycle."""
+    if cycle.period is None:
+        raise ValueError("this formula needs a periodic cycle")
+    return cycle.time_grid(q.n_time)[0]
+
+
 def charge_from_global_angle(cycle: PumpCycle, channel: int, mu: float,
                              q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge of a periodic cycle from the row loop at E = mu."""
-    if cycle.period is None:
-        raise ValueError("global-angle charge needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
+    times = _period_times(cycle, q)
     states = row_states(cycle, channel, mu, times)
     return -global_angle(states, closed=True) / TWO_PI
 
@@ -188,10 +193,8 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     checked and a ValueError raised otherwise.  The energy grid includes
     both ends, the time grid wraps periodically.
     """
-    if cycle.period is None:
-        raise ValueError("cylinder flux needs a periodic cycle")
+    times = _period_times(cycle, q)
     _check_channel(cycle, channel)
-    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
     energies = np.linspace(0.0, mu, CYLINDER_ENERGIES + 1)
     try:
         grid = cycle.sample_grid(energies, times)[:, :, channel].swapaxes(0, 1)
@@ -235,9 +238,7 @@ def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
     For deterministic (fully reflecting or chiral) matrices the pumped
     charge is minus this integer.
     """
-    if cycle.period is None:
-        raise ValueError("winding needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
+    times = _period_times(cycle, q)
     return winding_number(row_states(cycle, channel, mu, times)[:, channel])
 
 
@@ -266,10 +267,8 @@ def hopf_vector(row: np.ndarray) -> np.ndarray:
 def sphere_path(cycle: PumpCycle, channel: int, mu: float,
                 q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Closed path swept on the sphere by the row image over one period."""
-    if cycle.period is None:
-        raise ValueError("sphere path needs a periodic cycle")
-    times, _ = midpoint_grid(0.0, cycle.period, q.n_time)
-    return hopf_vector(row_states(cycle, channel, mu, times))
+    return hopf_vector(row_states(cycle, channel, mu,
+                                  _period_times(cycle, q)))
 
 
 def spherical_polygon_area(points: np.ndarray) -> float:

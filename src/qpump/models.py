@@ -21,6 +21,7 @@ the kernel runs once per grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -556,7 +557,11 @@ def _fill_params(spec: ModelSpec) -> dict[str, float]:
         raise ValueError(f"unknown parameters for {spec.kind}: {sorted(unknown)}")
     out = {}
     for name, (default, low) in table.items():
-        value = float(spec.params.get(name, default))
+        value = spec.params.get(name, default)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{spec.kind}.{name} must be a finite number")
+        value = float(value)
         if low is not None and value < low:
             raise ValueError(f"{spec.kind}.{name} must be >= {low}")
         out[name] = value

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonUnitary, StencilOutOfDomain
-from .quadrature import TWO_PI, QuadratureSpec
+from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid
 
 # worst |S S^dagger - 1| `decompose_two_channel` accepts
 DECOMPOSE_TOL = 1e-10
@@ -46,9 +46,10 @@ class PumpCycle:
     1-d arrays of M energies and N times and returns all N x M matrices
     at once, shape (N, M, n_channels, n_channels), possibly as a
     read-only view; without it `sample_grid` loops over `evaluate`.
-    Periodic cycles carry a finite `period`; pulse cycles instead carry
-    a `window` outside which the scatterer is static.  Families with
-    neither (open protocols) support differential operations only.
+    A cycle has a `period` or a `window` (outside which the scatterer is
+    static), not both; every time integral takes its nodes from
+    `time_grid` on that domain.  Families with neither (open protocols)
+    support differential operations only.
     """
 
     n_channels: int
@@ -61,6 +62,8 @@ class PumpCycle:
     def __post_init__(self):
         if self.n_channels < 1:
             raise ValueError("n_channels must be positive")
+        if self.period is not None and self.window is not None:
+            raise ValueError("a cycle has a period or a window, not both")
         if self.period is not None and self.period <= 0:
             raise ValueError("period must be positive")
         if self.window is not None and self.window[1] <= self.window[0]:
@@ -73,6 +76,14 @@ class PumpCycle:
         if self.window is not None:
             return self.window[1] - self.window[0]
         return 1.0
+
+    def time_grid(self, n: int) -> tuple[np.ndarray, float]:
+        """n midpoint nodes over one period or over the pulse window, and
+        their common weight."""
+        span = (0.0, self.period) if self.period is not None else self.window
+        if span is None:
+            raise ValueError("cycle has neither a period nor a window")
+        return midpoint_grid(*span, n)
 
     def sample(self, energy: float, time: float) -> np.ndarray:
         s = np.asarray(self.evaluate(energy, time), dtype=np.complex128)
@@ -189,7 +200,8 @@ def _unitarity_defect(s: np.ndarray) -> float:
 
 def _check_unitary(s: np.ndarray, tol: float) -> None:
     defect = _unitarity_defect(s)
-    if defect > tol:
+    # written so that a NaN defect fails too
+    if not defect <= tol:
         raise NonUnitary(f"unitarity defect {defect:.3e} exceeds {tol:.1e}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ZeroTemperature
-from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
 from .smatrix import PumpCycle, Stencil, stencil
 
 # 1 / integral_0^1 of the window shape over filling factors:
@@ -100,7 +100,7 @@ def thermal_energy_nodes(state: ThermalState,
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("no thermal window at zero temperature")
-    half = max(q.n_energy // 2, 8)
+    half = q.n_energy // 2
     reach = q.energy_window * state.temperature
     floor = max(1e-8, 10.0 * q.h_e_rel * max(state.mu, 1.0))
     lo = max(state.mu - reach, floor)
@@ -207,14 +207,6 @@ def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
     return _window_rates(_offdiag(cycle, state.mu, time, q)[0], state)[1]
 
 
-def _integration_interval(cycle: PumpCycle) -> tuple[float, float]:
-    if cycle.period is not None:
-        return 0.0, cycle.period
-    if cycle.window is not None:
-        return cycle.window
-    raise ValueError("cycle has neither a period nor a window to integrate over")
-
-
 def cycle_charge(cycle: PumpCycle, state: ThermalState,
                  q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Charge pumped into each channel over one period (or pulse window).
@@ -222,8 +214,7 @@ def cycle_charge(cycle: PumpCycle, state: ThermalState,
     Midpoint rule in time; for smooth periodic cycles this converges
     spectrally, and the nodes dodge path corners of piecewise drives.
     """
-    t0, t1 = _integration_interval(cycle)
-    times, dt = midpoint_grid(t0, t1, q.n_time)
+    times, dt = cycle.time_grid(q.n_time)
     charge = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[0]
     return charge.sum(axis=0) * dt
 
@@ -272,8 +263,7 @@ def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
     from the same stencil samples.
     """
     if times is None:
-        t0, t1 = _integration_interval(cycle)
-        times, _ = midpoint_grid(t0, t1, 16)
+        times, _ = cycle.time_grid(16)
     energies, mass = _thermal_mass(state, q)
     return _bk_residual(cycle, energies, mass, times, q)
 
@@ -302,8 +292,7 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
     plus mu itself at finite temperature for the entropy and noise
     currents.
     """
-    t0, t1 = _integration_interval(cycle)
-    times, dt = midpoint_grid(t0, t1, q.n_time)
+    times, dt = cycle.time_grid(q.n_time)
     finite_t = state.temperature > 0.0
     energies, mass = _thermal_mass(state, q)
     charge, diss, off = _thermal_rates(cycle, times, energies, mass, q,

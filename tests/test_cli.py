@@ -171,6 +171,15 @@ def _battery(section: str) -> str:
                  id="mu-int-1e400"),
     pytest.param("transport", _battery('"quadrature": {"n_time": 16.5}'),
                  id="n_time-16.5"),
+    pytest.param("transport",
+                 '{"model": {"kind": "battery", "params": {"theta": true}}}',
+                 id="theta-bool"),
+    pytest.param("transport",
+                 '{"model": {"kind": "battery", "params": {"theta": "0.5"}}}',
+                 id="theta-string"),
+    pytest.param("transport",
+                 '{"model": {"kind": "battery", "params": {"phi0": "nan"}}}',
+                 id="phi0-string-nan"),
 ])
 def test_non_finite_or_non_integral_numbers_exit_2(tmp_path, capsys,
                                                     command, text):

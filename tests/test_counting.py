@@ -177,6 +177,14 @@ def test_cumulants_reject_cycles_without_a_window():
         qp.mean_transferred_charge(periodic, cold)
 
 
+def test_noise_report_has_one_time_domain():
+    # a period next to the window used to put the mean on [0, period]
+    # and the variance on the window
+    with pytest.raises(ValueError, match="not both"):
+        qp.make_battery_cycle(qp.TwoChannelParams(theta=THETA), phi=_phi,
+                              period=5.0, window=WINDOW)
+
+
 def test_non_settling_pulses_are_rejected():
     base = qp.TwoChannelParams(theta=THETA)
     # half a winding leaves different matrices on the two sides

@@ -137,9 +137,16 @@ def test_non_unitary_stencil_samples_are_caught(temperature):
     cycle = qp.PumpCycle(n_channels=2, evaluate=evaluate, period=1.0)
     s0 = cycle.sample(1.0, t0)
     assert np.max(np.abs(s0 @ s0.conj().T - np.eye(2))) < 1e-15
+    # NaN compares false with every tolerance, so a NaN defect must
+    # not slip through as a small one
+    lost = qp.PumpCycle(n_channels=2, period=1.0,
+                        evaluate=lambda e, t: np.full((2, 2), np.nan))
+    state = qp.ThermalState(mu=1.0, temperature=temperature)
+    for bad in (cycle, lost):
+        with pytest.raises(qp.NonUnitary):
+            qp.bpt_current(bad, t0, state)
     with pytest.raises(qp.NonUnitary):
-        qp.bpt_current(cycle, t0, qp.ThermalState(mu=1.0,
-                                                  temperature=temperature))
+        qp.cycle_charge(lost, state, replace(Q, n_time=16))
 
 
 def test_custom_grid_is_no_more_permissive_than_evaluate():

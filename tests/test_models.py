@@ -197,6 +197,13 @@ def test_make_pump_registry():
         qp.make_pump(qp.ModelSpec(kind="battery", params={"frequency": 2.0}))
     with pytest.raises(ValueError):
         qp.make_pump(qp.ModelSpec(kind="uturn", params={"flux_quanta": 0.5}))
+    # parameters follow the number rules of every other config section
+    for theta in (np.float32(0.5), np.int64(1)):
+        cyc = qp.make_pump(qp.ModelSpec("battery", {"theta": theta}))
+        assert cyc.n_channels == 2
+    for bad in (True, "0.5", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite number"):
+            qp.make_pump(qp.ModelSpec(kind="battery", params={"phi0": bad}))
 
 
 def test_bicycle_edge_midpoints_block_one_channel():

@@ -107,6 +107,24 @@ def test_curvature_identity_second_order():
     assert 3.0 < r_coarse / r_fine < 5.5
 
 
+def test_cycle_has_a_period_or_a_window_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        qp.PumpCycle(2, lambda e, t: np.eye(2), period=1.0,
+                     window=(0.0, 1.0))
+
+
+def test_time_grid_is_the_midpoint_rule_of_the_time_domain():
+    periodic = qp.PumpCycle(2, lambda e, t: np.eye(2), period=2.5)
+    pulse = qp.PumpCycle(2, lambda e, t: np.eye(2), window=(-1.0, 3.0))
+    for cycle, span in ((periodic, (0.0, 2.5)), (pulse, (-1.0, 3.0))):
+        times, dt = cycle.time_grid(37)
+        want, want_dt = qp.midpoint_grid(*span, 37)
+        assert dt == want_dt
+        assert np.array_equal(times, want)
+    with pytest.raises(ValueError, match="neither a period nor a window"):
+        qp.PumpCycle(2, lambda e, t: np.eye(2)).time_grid(16)
+
+
 def test_nonunitary_cycle_is_rejected():
     def bad(e, t):
         return 1.02 * np.eye(2, dtype=complex)
