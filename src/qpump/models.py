@@ -21,7 +21,6 @@ the kernel runs once per grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -558,8 +557,11 @@ def _fill_params(spec: ModelSpec) -> dict[str, float]:
     out = {}
     for name, (default, low) in table.items():
         value = spec.params.get(name, default)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):   # a string, or an int > 1e308
+            finite = False
+        if not finite:
             raise ValueError(f"{spec.kind}.{name} must be a finite number")
         value = float(value)
         if low is not None and value < low:

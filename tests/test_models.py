@@ -201,7 +201,7 @@ def test_make_pump_registry():
     for theta in (np.float32(0.5), np.int64(1)):
         cyc = qp.make_pump(qp.ModelSpec("battery", {"theta": theta}))
         assert cyc.n_channels == 2
-    for bad in (True, "0.5", float("nan"), float("inf")):
+    for bad in (True, "0.5", float("nan"), float("inf"), 10 ** 400, 1j):
         with pytest.raises(ValueError, match="finite number"):
             qp.make_pump(qp.ModelSpec(kind="battery", params={"phi0": bad}))
 
