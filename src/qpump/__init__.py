@@ -16,7 +16,8 @@ from .quadrature import QuadratureSpec, gauss_legendre, midpoint_grid
 from .smatrix import (CurvatureIdentity, DifferentialData, PumpCycle,
                       TwoChannelParams, apply_gauge_and_fiducial,
                       build_two_channel, curvature_identity,
-                      decompose_two_channel, differential_data, verify_cycle)
+                      decompose_two_channel, default_dispersion,
+                      differential_data, verify_cycle)
 from .transport import (ThermalState, TransportReport, birman_krein_residual,
                         bpt_current, cycle_charge, det_phase_rate,
                         dissipation_current, entropy_current, entropy_weight,
@@ -29,8 +30,8 @@ from .geometry import (amplitude_winding, boundary_states,
                        sphere_path, spherical_polygon_area, stokes_residual,
                        surface_flux, winding_number)
 from .models import (BicycleGeometry, GalileanCheck, ModelSpec,
-                     PiecewisePotential, bicycle_path, default_dispersion,
-                     galilean_check, make_battery_cycle, make_bicycle_cycle,
+                     PiecewisePotential, bicycle_path, galilean_check,
+                     make_battery_cycle, make_bicycle_cycle,
                      make_custom_two_channel, make_optimal_cycle,
                      make_pulse_cycle, make_pump, make_random_analytic_cycle,
                      make_sink_cycle, make_snowplow_cycle, make_uturn_cycle,

@@ -10,7 +10,7 @@ crossing time of x = 0; channel 0 comes in from the left, channel 1
 from the right.
 
 Trajectories are piecewise linear, so the event loop solves each
-barrier encounter in closed form; there is no integrator error in the
+barrier encounter exactly; there is no integrator error in the
 scattering map.  The map is canonical, which the Jacobian check
 verifies, and space-time inversion symmetry of the barrier path gives
 the inverse map for free.
@@ -32,6 +32,8 @@ from .quadrature import TWO_PI, midpoint_grid
 LIOUVILLE_STEP = 1e-6
 # rtol and atol of the DOP853 runs in `classical_battery_shift`
 BATTERY_RTOL = 1e-12
+# `partition_disagreements` skips points this close to a boundary
+PARTITION_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,6 @@ class PlowSpec:
     def __post_init__(self):
         if self.height <= 0 or self.speed < 0 or self.travel_time <= 0:
             raise ValueError("need height > 0, speed >= 0, travel_time > 0")
-
-    def barrier_position(self, t: float) -> float:
-        w = self.travel_time
-        return self.speed * min(max(t, -w), w)
-
-    def barrier_velocity(self, t: float) -> float:
-        return self.speed if abs(t) < self.travel_time else 0.0
 
     def _pieces(self):
         w, v0 = self.travel_time, self.speed
@@ -186,17 +181,16 @@ def partition_margin(spec: PlowSpec, energy: float, time_in: float,
 
 
 def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
-                            times: np.ndarray, channels: np.ndarray,
-                            margin: float = 1e-6) -> int:
-    """Count simulated outcomes that contradict the closed-form partition.
+                            times: np.ndarray, channels: np.ndarray) -> int:
+    """Count simulated outcomes that contradict the predicted partition.
 
-    Points within `margin` of a boundary are skipped; away from the
-    boundaries the two must agree exactly.
+    Points within `PARTITION_MARGIN` of a boundary are skipped; away from
+    the boundaries the two must agree exactly.
     """
     bad = 0
     for e, t, ch in zip(energies, times, channels):
         ch = int(ch)
-        if partition_margin(spec, e, t, ch) < margin:
+        if partition_margin(spec, e, t, ch) < PARTITION_MARGIN:
             continue
         sim = classical_scatter(spec, e, t, ch)
         transmitted = sim.channel != ch
@@ -314,10 +308,9 @@ class BatteryFieldResult:
 
 
 def classical_battery_shift(delta_phi: float, energy: float,
-                            half_width: float = 1.0,
                             start_time: float = 0.0) -> BatteryFieldResult:
     """Particle through A(x, t) = t * phi'(x), phi a smooth step of height
-    delta_phi supported on [-half_width, half_width].
+    delta_phi supported on [-1, 1], starting at x = -1.5 at `start_time`.
 
     The growing vector potential is a constant EMF, so a left-to-right
     passage loses exactly delta_phi of energy whatever the crossing
@@ -327,15 +320,14 @@ def classical_battery_shift(delta_phi: float, energy: float,
     """
     if energy <= max(delta_phi, 0.0):
         raise ValueError("particle too slow to cross the potential drop")
-    w = half_width
 
     def slope(x: float) -> float:
-        return delta_phi * _step_slope((x + w) / (2.0 * w)) / (2.0 * w)
+        return delta_phi * _step_slope((x + 1.0) / 2.0) / 2.0
 
     def curvature(x: float, h: float = 1e-6) -> float:
         return (slope(x + h) - slope(x - h)) / (2.0 * h)
 
-    x0 = -1.5 * w
+    x0 = -1.5
     v_in = math.sqrt(2.0 * energy)
 
     def rhs_full(t, y):
@@ -344,14 +336,14 @@ def classical_battery_shift(delta_phi: float, energy: float,
         return [vel, vel * t * curvature(x)]
 
     def crossed(t, y):
-        return y[0] - 1.5 * w
+        return y[0] - 1.5
     crossed.terminal = True
     crossed.direction = 1.0
 
-    horizon = start_time + 3.0 * w / math.sqrt(2.0 * (energy - delta_phi)) + 10.0
+    horizon = start_time + 3.0 / math.sqrt(2.0 * (energy - delta_phi)) + 10.0
     sol = solve_ivp(rhs_full, (start_time, horizon), [x0, v_in],
                     method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
-                    events=crossed, max_step=0.05 * w)
+                    events=crossed, max_step=0.05)
     if not sol.t_events[0].size:
         raise RuntimeError("trajectory did not cross the field region")
     t_end = sol.t_events[0][0]
@@ -367,7 +359,7 @@ def classical_battery_shift(delta_phi: float, energy: float,
     sol_f = solve_ivp(rhs_frozen, (0.0, horizon - start_time),
                       [x0, v_in + start_time * slope(x0)],
                       method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
-                      events=crossed, max_step=0.05 * w)
+                      events=crossed, max_step=0.05)
     if not sol_f.t_events[0].size:
         raise RuntimeError("frozen trajectory did not cross the field region")
     xf, pf = sol_f.y_events[0][0]

@@ -262,6 +262,12 @@ def _emit(args, payload: dict, header: list, rows, meta: dict):
         write_json(payload, args)
 
 
+def _emit_summary(args, results: dict, meta: dict):
+    """A summary-only result: {"summary": ...} JSON or quantity,value CSV."""
+    rows = [(k, results[k]) for k in sorted(results)]
+    _emit(args, {"summary": results}, ["quantity", "value"], rows, meta)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -331,10 +337,8 @@ def cmd_geometry(args) -> int:
         results["fractional_charge"] = geometry.fractional_charge(
             cycle, channel, state.mu, q)
 
-    header = ["quantity", "value"]
-    rows = [(k, results[k]) for k in sorted(results)]
-    _emit(args, {"summary": results}, header, rows,
-          {"model": cycle.label, "mu": state.mu, "channel": channel})
+    _emit_summary(args, results,
+                  {"model": cycle.label, "mu": state.mu, "channel": channel})
     return 0
 
 
@@ -365,10 +369,7 @@ def cmd_noise(args) -> int:
         results["direct_second_cumulant"] = report.direct
         results["split_vs_direct"] = report.total - report.direct
 
-    header = ["quantity", "value"]
-    rows = [(k, results[k]) for k in sorted(results)]
-    _emit(args, {"summary": results}, header, rows,
-          {"model": pulse.label, "channel": channel})
+    _emit_summary(args, results, {"model": pulse.label, "channel": channel})
     return 0
 
 
@@ -401,28 +402,18 @@ def cmd_classical(args) -> int:
         "charge_direct": list(map(float, q_direct)),
         "max_relative_gap": gap,
     }
-    header = ["quantity", "value"]
-    rows = [(k, results[k]) for k in sorted(results)]
-    _emit(args, {"summary": results}, header, rows,
-          {"mu": state.mu, "points": n})
+    _emit_summary(args, results, {"mu": state.mu, "points": n})
     return 0
 
 
 def cmd_models_list(args) -> int:
-    if args.format == "json":
-        payload = {kind: {name: default
-                          for name, (default, _) in table.items()}
-                   for kind, table in MODEL_KINDS.items()}
-        write_json(payload, args)
-        return 0
-    fh, owned = _open_out(args)
-    for kind in sorted(MODEL_KINDS):
-        fh.write(f"{kind}\n")
-        for name, (default, low) in MODEL_KINDS[kind].items():
-            bound = f" (>= {low:g})" if low is not None else ""
-            fh.write(f"    {name} = {default:g}{bound}\n")
-    if owned:
-        fh.close()
+    payload = {kind: {name: default for name, (default, _) in table.items()}
+               for kind, table in MODEL_KINDS.items()}
+    rows = [(kind, name, default, low)
+            for kind in sorted(MODEL_KINDS)
+            for name, (default, low) in MODEL_KINDS[kind].items()]
+    _emit(args, payload, ["kind", "parameter", "default", "lower_bound"],
+          rows, {})
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The j-th row of S(E, t), viewed as a unit vector, carries a Berry
 connection whose time component is minus the diagonal energy shift.  A
-closed pump cycle therefore pumps
+periodic pump cycle therefore pumps
 
     2 pi <Q>_j = -(global angle of the row loop),
 
@@ -59,22 +59,22 @@ def _links(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
     return overlaps
 
 
-def global_angle(states: np.ndarray, closed: bool = True) -> float:
-    """Sum of overlap phases arg <psi_k | psi_k+1> along a discrete path.
+def global_angle(states: np.ndarray) -> float:
+    """Sum of overlap phases arg <psi_k | psi_k+1> around a discrete loop.
 
-    With `closed` the wrap-around link is included, which makes the
-    result gauge invariant (independent of the phases of the samples).
+    The wrap-around link from the last sample to the first is included,
+    which makes the result gauge invariant (independent of the phases of
+    the samples).
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[0] < 2:
         raise ValueError("need a (n_samples, dim) array with >= 2 samples")
-    nxt = np.roll(states, -1, axis=0) if closed else states[1:]
-    cur = states if closed else states[:-1]
-    return float(np.sum(np.angle(_links(cur, nxt))))
+    nxt = np.roll(states, -1, axis=0)
+    return float(np.sum(np.angle(_links(states, nxt))))
 
 
 def _period_times(cycle: PumpCycle, q: QuadratureSpec) -> np.ndarray:
-    """Time nodes of one period; the loop formulas need a closed cycle."""
+    """Time nodes of one period; the loop formulas need a periodic cycle."""
     if cycle.period is None:
         raise ValueError("this formula needs a periodic cycle")
     return cycle.time_grid(q.n_time)[0]
@@ -85,7 +85,7 @@ def charge_from_global_angle(cycle: PumpCycle, channel: int, mu: float,
     """Pumped charge of a periodic cycle from the row loop at E = mu."""
     times = _period_times(cycle, q)
     states = row_states(cycle, channel, mu, times)
-    return -global_angle(states, closed=True) / TWO_PI
+    return -global_angle(states) / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +150,23 @@ def stokes_residual(grid: np.ndarray) -> float:
     statement.
     """
     flux = surface_flux(grid)
-    line = global_angle(boundary_states(grid), closed=True)
+    line = global_angle(boundary_states(grid))
     return abs(flux - line)
 
 
-def random_smooth_patch(rng: np.random.Generator, dim: int,
-                        shape: tuple[int, int] = (24, 24),
-                        harmonics: int = 2, amplitude: float = 0.6) -> np.ndarray:
-    """Random smooth map [0,1]^2 -> unit vectors in C^dim (open patch).
+def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random smooth open patch [0,1]^2 -> unit vectors in C^dim, 24 x 24.
 
-    Low-order Fourier sums with a constant offset keep the vectors away
-    from zero before normalization.
+    Fourier sums of mode numbers 1 and 2 (amplitude 0.6 / (m n)) with a
+    constant offset keep the vectors away from zero before normalization.
     """
-    nu, nv = shape
-    u = np.linspace(0.0, 1.0, nu)[:, None, None]
-    v = np.linspace(0.0, 1.0, nv)[None, :, None]
-    vec = np.full((nu, nv, dim), 0.0, dtype=np.complex128)
+    u = np.linspace(0.0, 1.0, 24)[:, None, None]
+    v = np.linspace(0.0, 1.0, 24)[None, :, None]
+    vec = np.full((24, 24, dim), 0.0, dtype=np.complex128)
     vec += rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    for m in range(1, harmonics + 1):
-        for n in range(1, harmonics + 1):
-            scale = amplitude / (m * n)
+    for m in (1, 2):
+        for n in (1, 2):
+            scale = 0.6 / (m * n)
             for phase_u in (np.cos, np.sin):
                 for phase_v in (np.cos, np.sin):
                     coeff = scale * (rng.normal(size=dim)
@@ -177,7 +174,7 @@ def random_smooth_patch(rng: np.random.Generator, dim: int,
                     vec += coeff * phase_u(math.pi * m * u) * phase_v(math.pi * n * v)
     norms = np.linalg.norm(vec, axis=-1, keepdims=True)
     if np.min(norms) < 1e-3:
-        return random_smooth_patch(rng, dim, shape, harmonics, amplitude)
+        return random_smooth_patch(rng, dim)
     return vec / norms
 
 
@@ -214,7 +211,7 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
 # winding numbers
 
 def winding_number(values: np.ndarray) -> int:
-    """Winding of a closed discrete path in the punctured complex plane."""
+    """Winding of a discrete loop in the punctured complex plane."""
     z = np.asarray(values, dtype=np.complex128)
     if z.ndim != 1 or z.size < 3:
         raise ValueError("need a 1-d path with >= 3 samples")
@@ -266,18 +263,18 @@ def hopf_vector(row: np.ndarray) -> np.ndarray:
 
 def sphere_path(cycle: PumpCycle, channel: int, mu: float,
                 q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Closed path swept on the sphere by the row image over one period."""
+    """Loop swept on the sphere by the row image over one period."""
     return hopf_vector(row_states(cycle, channel, mu,
                                   _period_times(cycle, q)))
 
 
 def spherical_polygon_area(points: np.ndarray) -> float:
-    """Signed area enclosed by a closed path of unit vectors.
+    """Signed area bounded by a loop of unit vectors.
 
     Fan triangulation from the normalized centroid (or the north pole
     when the centroid degenerates); each triangle contributes its signed
     spherical excess.  The result is defined modulo 4 pi, the usual
-    ambiguity of 'the enclosed region' on a sphere.
+    ambiguity of 'the region inside' a loop on a sphere.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:

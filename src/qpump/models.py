@@ -29,20 +29,18 @@ import numpy as np
 from .errors import EnergyAtBandEdge
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import (PumpCycle, TwoChannelParams, _check_unitary,
-                      build_two_channel, point_evaluator, stencil,
-                      two_channel_matrices)
+                      build_two_channel, default_dispersion, point_evaluator,
+                      stencil, two_channel_matrices)
 
 # worst |S S^dagger - 1| accepted from `transfer_matrix_smatrix`
 TRANSFER_UNITARITY_TOL = 1e-9
-# b scan size, |r| bound and merge distance of `reflectionless_points`
+# b scan size, polish grid side and halvings, |r| bound and merge
+# distance of `reflectionless_points`
 RESONANCE_SCAN = 800
+RESONANCE_GRID = 9
+RESONANCE_HALVINGS = 48
 RESONANCE_TOL = 1e-6
 RESONANCE_SEPARATION = 1e-3
-
-
-def default_dispersion(energy: float) -> float:
-    """k(E) = sqrt(2 E) (hbar = m = 1)."""
-    return math.sqrt(max(2.0 * energy, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +193,12 @@ def _phase_cycle(label: str, evaluate_grid, period: float | None,
 
 
 def make_snowplow_cycle(base: TwoChannelParams, xi: Callable[[float], float],
-                        k_of_e: Callable[[float], float] = default_dispersion,
                         period: float | None = None,
                         window: tuple[float, float] | None = None) -> PumpCycle:
     """Rigid translation by xi(t): r, r' pick up phases e^{+-2 i k(E) xi}."""
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        alpha = base.alpha + 2.0 * _values(k_of_e, energies) \
+        alpha = base.alpha + 2.0 * _values(default_dispersion, energies) \
             * _values(xi, times)[:, None]
         return two_channel_matrices(base.theta, alpha, base.phi, base.gamma)
 
@@ -236,7 +233,6 @@ def make_sink_cycle(base: TwoChannelParams, gamma: Callable[[float], float],
 
 
 def make_uturn_cycle(ell: float, flux: Callable[[float], float],
-                     k_of_e: Callable[[float], float] = default_dispersion,
                      period: float | None = None,
                      window: tuple[float, float] | None = None) -> PumpCycle:
     """Two decoupled chiral channels threaded by a flux Phi(t):
@@ -245,7 +241,7 @@ def make_uturn_cycle(ell: float, flux: Callable[[float], float],
     """
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        optical = _values(k_of_e, energies) * ell
+        optical = _values(default_dispersion, energies) * ell
         f = _values(flux, times)[:, None]
         s = np.zeros((times.size, energies.size, 2, 2), dtype=np.complex128)
         s[..., 0, 0] = np.exp(1j * (optical + f))
@@ -280,7 +276,7 @@ def make_custom_two_channel(theta: Callable[[float], float],
                             gamma: Callable[[float], float],
                             period: float | None = None,
                             window: tuple[float, float] | None = None) -> PumpCycle:
-    """Arbitrary closed loop in the two-channel angle space."""
+    """Arbitrary loop in the two-channel angle space."""
 
     def params(t: float) -> TwoChannelParams:
         return TwoChannelParams(theta=theta(t), alpha=alpha(t), phi=phi(t),
@@ -360,42 +356,41 @@ def make_bicycle_cycle(geometry: BicycleGeometry = BicycleGeometry(),
                      label="bicycle", evaluate_grid=evaluate_grid)
 
 
-def reflectionless_points(geometry: BicycleGeometry,
-                          energy: float = 1.0) -> list[tuple[float, float]]:
-    """Interior (a, b) points where the pump is reflectionless at `energy`.
+def reflectionless_points(geometry: BicycleGeometry) -> list[tuple[float, float]]:
+    """Interior (a, b) points where the pump is reflectionless at the
+    Fermi energy (E = mu = 1 in the geometry's units).
 
     Unit transmission through the double valve needs the piston level on
     resonance and, since the valves have equal widths, equal valve
     heights, so every zero of |r| sits on the symmetric line a = 1/2.
     The piston must also stay below the energy for a propagating
     resonance, which bounds b.  A fine scan in b along that line feeds
-    local minima to a two-dimensional polish; only polished points with
-    |r| below `RESONANCE_TOL` are returned (the resonances are narrow, width
-    in b of order 1e-4 for the default geometry).
+    local minima to a two-dimensional polish: a grid of (a, b) around the
+    best point so far, +-1/4 in a and +- one scan step in b at first,
+    recentred and halved `RESONANCE_HALVINGS` times, one `smatrix` call
+    per grid.  Only polished points with |r| below `RESONANCE_TOL` are
+    returned (the resonances are narrow, width in b of order 1e-4 for
+    the default geometry).
     """
-    from scipy.optimize import minimize
-
-    b_max = 1.05 * energy / 10.0
+    b_max = 1.05 / 10.0
     bs = np.linspace(1e-5, b_max, RESONANCE_SCAN)
-    refl = np.abs(geometry.smatrix(0.5, bs, energy)[:, 0, 0])
+    refl = np.abs(geometry.smatrix(0.5, bs, 1.0)[:, 0, 0])
     seeds = [bs[i] for i in range(1, RESONANCE_SCAN - 1)
              if refl[i] < refl[i - 1] and refl[i] < refl[i + 1]
              and refl[i] < 0.9]
-
-    def objective(p):
-        a, b = p
-        if not (0.0 < a < 1.0 and 0.0 < b):
-            return 2.0
-        return abs(geometry.smatrix(a, b, energy)[0, 0])
+    offsets = np.linspace(-1.0, 1.0, RESONANCE_GRID)
 
     points: list[tuple[float, float]] = []
     for b0 in seeds:
-        res = minimize(objective, (0.5, b0), method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14,
-                                "maxiter": 400})
-        if res.fun > RESONANCE_TOL:
+        a, b, half_a, half_b = 0.5, b0, 0.25, bs[1] - bs[0]
+        for _ in range(RESONANCE_HALVINGS):
+            grid_a, grid_b = a + half_a * offsets, b + half_b * offsets
+            r = np.abs(geometry.smatrix(grid_a[:, None], grid_b, 1.0)[..., 0, 0])
+            i, j = np.unravel_index(np.argmin(r), r.shape)
+            a, b, half_a, half_b = grid_a[i], grid_b[j], half_a / 2, half_b / 2
+        if r[i, j] > RESONANCE_TOL:
             continue
-        a, b = float(res.x[0]), float(res.x[1])
+        a, b = float(a), float(b)
         if all(math.hypot(a - a0, b - b0_) >= RESONANCE_SEPARATION
                for a0, b0_ in points):
             points.append((a, b))
@@ -416,38 +411,35 @@ def _unitary_exp(h: np.ndarray) -> np.ndarray:
 
 
 class _FourierHermitian:
-    """H(t) = C0 + sum_m Cm cos(2 pi m t / T) + Dm sin(2 pi m t / T)."""
+    """H(t) = C0 + sum_{m = 1, 2} Cm cos(2 pi m t) + Dm sin(2 pi m t)."""
 
-    def __init__(self, rng: np.random.Generator, n: int, period: float,
-                 amplitude: float, harmonics: int):
-        self.period = period
+    def __init__(self, rng: np.random.Generator, n: int, amplitude: float):
         self.c0 = _random_hermitian(rng, n, amplitude)
         self.cos = [_random_hermitian(rng, n, amplitude / m ** 2)
-                    for m in range(1, harmonics + 1)]
+                    for m in (1, 2)]
         self.sin = [_random_hermitian(rng, n, amplitude / m ** 2)
-                    for m in range(1, harmonics + 1)]
+                    for m in (1, 2)]
 
     def __call__(self, t: float) -> np.ndarray:
         h = self.c0.copy()
         for m, (c, s) in enumerate(zip(self.cos, self.sin), start=1):
-            w = TWO_PI * m * t / self.period
+            w = TWO_PI * m * t
             h += c * math.cos(w) + s * math.sin(w)
         return h
 
 
 def make_random_analytic_cycle(n_channels: int, rng: np.random.Generator,
-                               period: float = 1.0, amplitude: float = 0.4,
-                               harmonics: int = 2,
                                zero_energy_flat: bool = False) -> PumpCycle:
-    """Random smooth periodic unitary family S = exp(i H(E, t)).
+    """Random smooth unitary family S = exp(i H(E, t)) of period 1.
 
-    H mixes two independent Fourier families with smooth energy
-    profiles.  With `zero_energy_flat` both profiles vanish at E = 0, so
-    S(0, t) is the identity and the energy shift vanishes at the band
-    bottom (the setting for charge-as-curvature integrals).
+    H mixes two independent Fourier families (amplitudes 0.4 and 0.2,
+    modes 1 and 2) with smooth energy profiles.  With `zero_energy_flat`
+    both profiles vanish at E = 0, so S(0, t) is the identity and the
+    energy shift vanishes at the band bottom (the setting for
+    charge-as-curvature integrals).
     """
-    h1 = _FourierHermitian(rng, n_channels, period, amplitude, harmonics)
-    h2 = _FourierHermitian(rng, n_channels, period, amplitude / 2.0, harmonics)
+    h1 = _FourierHermitian(rng, n_channels, 0.4)
+    h2 = _FourierHermitian(rng, n_channels, 0.2)
     if zero_energy_flat:
         f1 = lambda e: e / (1.0 + e)
         f2 = lambda e: e / (2.0 + e * e)
@@ -458,7 +450,7 @@ def make_random_analytic_cycle(n_channels: int, rng: np.random.Generator,
     def evaluate(e: float, t: float) -> np.ndarray:
         return _unitary_exp(f1(e) * h1(t) + f2(e) * h2(t))
 
-    return PumpCycle(n_channels, evaluate, period=period, label="random")
+    return PumpCycle(n_channels, evaluate, period=1.0, label="random")
 
 
 def make_pulse_cycle(n_channels: int, rng: np.random.Generator,
@@ -594,7 +586,7 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         period = p["period"]
         quanta = p["flux_quanta"]
         if abs(quanta - round(quanta)) > 1e-9:
-            raise ValueError("flux_quanta must be an integer for a closed cycle")
+            raise ValueError("flux_quanta must be an integer for a periodic cycle")
         return make_uturn_cycle(
             ell=p["ell"], flux=lambda t: TWO_PI * quanta * t / period,
             period=period)

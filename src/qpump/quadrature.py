@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,18 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("h_e_rel", "h_t_rel", "eps_diag_rel", "unitarity_tol",
                      "hermiticity_tol", "energy_window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            # written so that NaN fails too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("n_energy", "n_time", "n_shot_time"):
-            if getattr(self, name) < 16:
-                raise ValueError(f"{name} must be at least 16")
+            require_count(name, getattr(self, name), 16)
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least (numpy ints pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

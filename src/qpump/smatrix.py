@@ -25,13 +25,14 @@ transport and counting currents are built on this kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonUnitary, StencilOutOfDomain
-from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid
+from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid, require_count
 
 # worst |S S^dagger - 1| `decompose_two_channel` accepts
 DECOMPOSE_TOL = 1e-10
@@ -60,14 +61,15 @@ class PumpCycle:
     evaluate_grid: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be positive")
+        require_count("n_channels", self.n_channels, 1)
         if self.period is not None and self.window is not None:
             raise ValueError("a cycle has a period or a window, not both")
-        if self.period is not None and self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.window is not None and self.window[1] <= self.window[0]:
-            raise ValueError("window must have positive length")
+        # written so that NaN fails too
+        if self.period is not None and not 0.0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
+        if self.window is not None \
+                and not -math.inf < self.window[0] < self.window[1] < math.inf:
+            raise ValueError("window must have finite ends and positive length")
 
     @property
     def time_scale(self) -> float:
@@ -371,25 +373,27 @@ def point_evaluator(evaluate_grid: Callable[[np.ndarray, np.ndarray],
     return evaluate
 
 
+def default_dispersion(energy: float) -> float:
+    """k(E) = sqrt(2 E) (hbar = m = 1), the dispersion of every lead."""
+    return math.sqrt(max(2.0 * energy, 0.0))
+
+
 def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
-                             phases: np.ndarray,
-                             k_of_e: Callable[[float], float] | None = None
-                             ) -> PumpCycle:
+                             phases: np.ndarray) -> PumpCycle:
     """Move fiducial points and re-gauge the channels.
 
     Shifting the fiducial point of channel i by xi_i and its gauge phase
-    by phi_i maps S_ij -> S_ij exp(i k(E)(xi_i + xi_j)) exp(i(phi_i - phi_j)).
-    Diagonal differential data, hence every transport current, is
-    unchanged.  The default dispersion is k(E) = sqrt(2 E).
+    by phi_i maps S_ij -> S_ij exp(i k(E)(xi_i + xi_j)) exp(i(phi_i - phi_j))
+    with k(E) = sqrt(2 E).  Diagonal differential data, hence every
+    transport current, is unchanged.
     """
     shifts = np.asarray(shifts, dtype=float)
     phases = np.asarray(phases, dtype=float)
     if shifts.shape != (cycle.n_channels,) or phases.shape != (cycle.n_channels,):
         raise ValueError("need one shift and one phase per channel")
-    disp = k_of_e if k_of_e is not None else (lambda e: np.sqrt(2.0 * max(e, 0.0)))
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        k = np.array([disp(e) for e in energies], dtype=float)[:, None]
+        k = np.array([default_dispersion(e) for e in energies])[:, None]
         u = np.exp(1j * (k * shifts + phases))
         w = np.exp(1j * (k * shifts - phases))
         return (u[:, :, None] * w[:, None, :]
@@ -401,8 +405,8 @@ def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
                      label=cycle.label + "+gauge", evaluate_grid=evaluate_grid)
 
 
-def verify_cycle(cycle: PumpCycle, energies: np.ndarray, times: np.ndarray,
-                 q: QuadratureSpec = QuadratureSpec()) -> dict[str, float]:
+def verify_cycle(cycle: PumpCycle, energies: np.ndarray,
+                 times: np.ndarray) -> dict[str, float]:
     """Worst unitarity and periodicity defects over a sample grid."""
     s = cycle.sample_grid(energies, times)
     worst_p = 0.0

@@ -189,8 +189,7 @@ def test_c11_classical_partition_and_charge_routes():
     energies = rng.uniform(0.2, 3.0, size=n)
     times = rng.uniform(-20.0, 20.0, size=n)
     channels = rng.integers(0, 2, size=n)
-    assert qp.partition_disagreements(spec, energies, times, channels,
-                                      margin=1e-6) == 0
+    assert qp.partition_disagreements(spec, energies, times, channels) == 0
     # piston regime: everything at the Fermi level reflects on both sides
     mu = 0.5
     q_bpt = qp.plow_charge_bpt(spec, mu)

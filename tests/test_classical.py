@@ -80,7 +80,7 @@ def test_prediction_matches_simulation():
     times = rng.uniform(-20.0, 20.0, 4000)
     channels = rng.integers(0, 2, 4000)
     assert qp.partition_disagreements(SPEC, energies, times,
-                                      channels, margin=1e-6) == 0
+                                      channels) == 0
 
 
 def test_partition_margin_vanishes_on_critical_energy():
@@ -159,3 +159,10 @@ def test_battery_crossing_shift():
         assert abs(res.shift_residual) < 1e-8
         # frozen dynamics at any fixed time is the identity map
         assert res.frozen_speed_change == 0.0
+    # at start_time 0 the frozen potential t phi'(x) vanishes; later and
+    # earlier starts make the frozen check exercise the integrator
+    for start in (3.0, -5.0):
+        for dphi in (0.1, -0.25):
+            res = qp.classical_battery_shift(dphi, 2.0, start_time=start)
+            assert res.shift_residual < 1e-8
+            assert res.frozen_speed_change < 1e-8

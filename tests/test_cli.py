@@ -197,6 +197,8 @@ def test_non_finite_or_non_integral_numbers_exit_2(tmp_path, capsys,
     pytest.param("classical", ["--points", "-5"], id="points-negative"),
     pytest.param("classical", ["--seed", "-1"], id="classical-seed-negative"),
     pytest.param("noise", ["--seed", "-1"], id="noise-seed-negative"),
+    pytest.param("geometry", ["--channel", "2"], id="geometry-channel-2"),
+    pytest.param("noise", ["--channel", "2"], id="noise-channel-2"),
 ])
 def test_bad_flag_values_exit_2(tmp_path, capsys, command, flags):
     cfg = _write(tmp_path, "cfg.json",
@@ -237,6 +239,16 @@ def test_theta_range_violation_exits_2(tmp_path, capsys):
         assert "configuration error" in err and "model.params" in err
 
 
+def test_unitarity_budget_violation_exits_3(tmp_path, capsys):
+    # the battery's S is unitary to ~2e-16, far above a 1e-300 budget
+    cfg = _write(tmp_path, "tight.json",
+                 {"model": {"kind": "battery"},
+                  "quadrature": {"unitarity_tol": 1e-300}})
+    assert cli.main(["transport", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violated" in err and "unitarity defect" in err
+
+
 def test_zero_temperature_direct_request_exits_4(tmp_path, capsys):
     assert cli.main(["noise", "--config", _pulse_cfg(tmp_path),
                      "--direct"]) == 4
@@ -249,6 +261,14 @@ def test_models_list_covers_all_kinds(capsys):
     assert set(listed) == set(MODEL_KINDS)
     assert cli.main(["models-list"]) == 0
     assert "bicycle" in capsys.readouterr().out
+    assert cli.main(["models-list", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind,parameter,default,lower_bound"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == sum(map(len, MODEL_KINDS.values()))
+    assert {row[0] for row in rows} == set(MODEL_KINDS)
+    assert ["uturn", "flux_quanta", "1", ""] in rows
+    assert ["bicycle", "length", "1", "1e-06"] in rows
 
 
 def test_selfcheck_passes(capsys):

@@ -113,6 +113,48 @@ def test_cycle_has_a_period_or_a_window_not_both():
                      window=(0.0, 1.0))
 
 
+def _identity(e, t):
+    return np.eye(2)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: qp.QuadratureSpec(n_time=16.5), id="n_time-16.5"),
+    pytest.param(lambda: qp.QuadratureSpec(n_energy=64.0), id="n_energy-float"),
+    pytest.param(lambda: qp.QuadratureSpec(n_shot_time=1024.0),
+                 id="n_shot_time-float"),
+    pytest.param(lambda: qp.QuadratureSpec(energy_window=math.inf),
+                 id="energy_window-inf"),
+    pytest.param(lambda: qp.QuadratureSpec(hermiticity_tol=math.nan),
+                 id="hermiticity_tol-nan"),
+    pytest.param(lambda: qp.QuadratureSpec(h_t_rel=math.nan), id="h_t_rel-nan"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, period=math.nan),
+                 id="period-nan"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, period=math.inf),
+                 id="period-inf"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, window=(0.0, math.inf)),
+                 id="window-inf"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, window=(-math.inf, 0.0)),
+                 id="window-minus-inf"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, window=(math.nan, 1.0)),
+                 id="window-nan"),
+    pytest.param(lambda: qp.PumpCycle(2.5, _identity, period=1.0),
+                 id="n_channels-2.5"),
+    pytest.param(lambda: qp.PumpCycle(True, _identity, period=1.0),
+                 id="n_channels-bool"),
+])
+def test_non_finite_or_fractional_inputs_are_refused(make):
+    # each would give a wrong or NaN answer if accepted (n_time = 16.5
+    # puts 17 midpoint nodes at weight span / 16.5)
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    q = qp.QuadratureSpec(n_time=np.int64(32), n_energy=np.int32(16))
+    cycle = qp.PumpCycle(np.int64(2), _identity, period=1.0)
+    assert cycle.time_grid(q.n_time)[0].size == 32
+
+
 def test_time_grid_is_the_midpoint_rule_of_the_time_domain():
     periodic = qp.PumpCycle(2, lambda e, t: np.eye(2), period=2.5)
     pulse = qp.PumpCycle(2, lambda e, t: np.eye(2), window=(-1.0, 3.0))
@@ -157,9 +199,21 @@ def test_verify_cycle_on_analytic_family():
     rng = np.random.default_rng(9)
     cyc = qp.make_random_analytic_cycle(2, rng)
     report = qp.verify_cycle(cyc, np.array([0.5, 1.0, 2.0]),
-                             np.linspace(0.0, 1.0, 7), Q)
+                             np.linspace(0.0, 1.0, 7))
     assert report["unitarity"] < 1e-12
     assert report["periodicity"] < 1e-12
+
+
+def test_hermitization_budget_rejects_path_corners():
+    # the bicycle path turns corners at t = 1/4 and 1/2; a stencil across
+    # the kink leaves a residual of 3.9e-2 against a budget of 2.5e-3
+    cyc = qp.make_bicycle_cycle()
+    for corner in (0.25, 0.5):
+        with pytest.raises(qp.NonUnitary, match="Hermitization correction"):
+            qp.differential_data(cyc, 1.0, corner, Q)
+    # on a straight leg the residual is 3.6e-9
+    d = qp.differential_data(cyc, 1.0, 0.3, Q)
+    assert d.hermitization_residual < 1e-7
 
 
 def test_hermitization_budget_scales_with_step():
