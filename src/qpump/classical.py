@@ -263,25 +263,19 @@ def liouville_residual(spec: PlowSpec, energy: float, time_in: float,
     across those boundaries, so a stencil that straddles one is refused.
     """
     h = LIOUVILLE_STEP
-    corners = [(energy + h, time_in), (energy - h, time_in),
-               (energy, time_in + h), (energy, time_in - h)]
-    outcomes = {classical_scatter(spec, e, t, channel).channel
-                for e, t in corners}
-    if len(outcomes) > 1 or abs(
+    corners = [classical_scatter(spec, e, t, channel)
+               for e, t in ((energy + h, time_in), (energy - h, time_in),
+                            (energy, time_in + h), (energy, time_in - h))]
+    if len({r.channel for r in corners}) > 1 or abs(
             partition_margin(spec, energy, time_in, channel)) < 4.0 * h:
         raise RegionTouchesDiscontinuity(
             "finite-difference stencil straddles a partition boundary")
 
-    def image(e: float, t: float) -> tuple[float, float]:
-        r = classical_scatter(spec, e, t, channel)
-        return r.energy, r.time
-
-    ep, tp = image(energy + h, time_in)
-    em, tm = image(energy - h, time_in)
-    de_de, dt_de = (ep - em) / (2 * h), (tp - tm) / (2 * h)
-    ep, tp = image(energy, time_in + h)
-    em, tm = image(energy, time_in - h)
-    de_dt, dt_dt = (ep - em) / (2 * h), (tp - tm) / (2 * h)
+    e_plus, e_minus, t_plus, t_minus = corners
+    de_de = (e_plus.energy - e_minus.energy) / (2 * h)
+    dt_de = (e_plus.time - e_minus.time) / (2 * h)
+    de_dt = (t_plus.energy - t_minus.energy) / (2 * h)
+    dt_dt = (t_plus.time - t_minus.time) / (2 * h)
     return abs(de_de * dt_dt - de_dt * dt_de - 1.0)
 
 

@@ -14,10 +14,11 @@ path so typos cannot silently fall back to defaults.  Output (JSON or
 CSV with '#' metadata lines) is deterministic for fixed inputs: no
 timestamps, sorted keys, explicit seeds.
 
-Exit codes: 0 success, 2 configuration error, 3 violated numerical or
-unitarity invariant, 4 request outside the validity region of a formula
-(zero temperature, non-settling pulse, band-edge crossing), 5 resource
-cap hit.
+Exit codes: 0 success, 1 standard output closed by its reader (as with
+`| head`), 2 configuration error, 3 violated numerical or unitarity
+invariant, 4 request outside the validity region of a formula (zero
+temperature, non-settling pulse, band-edge crossing), 5 resource cap
+hit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -527,7 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:   # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchemaError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

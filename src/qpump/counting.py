@@ -144,9 +144,9 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
 
     dt_matrix = times[:, None] - times[None, :]
     eps = q.eps_diag_rel * span
-    kernel = np.zeros_like(bmat)
     far = np.abs(dt_matrix) >= eps
-    kernel[far] = bmat[far] / dt_matrix[far] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(far, bmat / dt_matrix ** 2, 0.0)
     near = ~far
     if np.any(near):
         ii, jj = np.nonzero(near)

@@ -15,7 +15,8 @@ piecewise-constant potentials by a transfer-matrix product, one kernel,
 bicycle pump (two valve barriers seesawing around a piston plateau) is
 the workhorse example of quantized transport.  Its S, too, is
 implemented only as `evaluate_grid`: the path is taken once per time and
-the kernel runs once per grid.
+the kernel runs once per grid.  So are the random cycles and pulses, one
+batched `eigh` per grid: every built-in cycle implements S once, as a grid.
 """
 
 from __future__ import annotations
@@ -406,8 +407,9 @@ def _random_hermitian(rng: np.random.Generator, n: int, scale: float) -> np.ndar
 
 
 def _unitary_exp(h: np.ndarray) -> np.ndarray:
+    """exp(i H) of a stack of Hermitian matrices, shape (..., n, n)."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 class _FourierHermitian:
@@ -420,11 +422,12 @@ class _FourierHermitian:
         self.sin = [_random_hermitian(rng, n, amplitude / m ** 2)
                     for m in (1, 2)]
 
-    def __call__(self, t: float) -> np.ndarray:
-        h = self.c0.copy()
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """H at each of N times, shape (N, n, n)."""
+        h = np.repeat(self.c0[None], times.size, axis=0)
         for m, (c, s) in enumerate(zip(self.cos, self.sin), start=1):
-            w = TWO_PI * m * t
-            h += c * math.cos(w) + s * math.sin(w)
+            w = (TWO_PI * m * times)[:, None, None]
+            h += c * np.cos(w) + s * np.sin(w)
         return h
 
 
@@ -447,10 +450,13 @@ def make_random_analytic_cycle(n_channels: int, rng: np.random.Generator,
         f1 = lambda e: 1.0
         f2 = lambda e: 0.4 * e / (1.0 + e * e)
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        return _unitary_exp(f1(e) * h1(t) + f2(e) * h2(t))
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        p1, p2 = (_values(f, energies)[:, None, None] for f in (f1, f2))
+        return _unitary_exp(p1 * h1.at(times)[:, None]
+                            + p2 * h2.at(times)[:, None])
 
-    return PumpCycle(n_channels, evaluate, period=1.0, label="random")
+    return PumpCycle(n_channels, point_evaluator(evaluate_grid), period=1.0,
+                     label="random", evaluate_grid=evaluate_grid)
 
 
 def make_pulse_cycle(n_channels: int, rng: np.random.Generator,
@@ -465,13 +471,15 @@ def make_pulse_cycle(n_channels: int, rng: np.random.Generator,
     span = t1 - t0
     g1 = _random_hermitian(rng, n_channels, amplitude)
     g2 = _random_hermitian(rng, n_channels, amplitude / 2.0)
+    bumps = ((t0, t1), (t0 + 0.25 * span, t1 - 0.1 * span))
 
-    def evaluate(e: float, t: float) -> np.ndarray:
-        w1 = smooth_bump(t, t0, t1)
-        w2 = smooth_bump(t, t0 + 0.25 * span, t1 - 0.1 * span)
-        return _unitary_exp(w1 * g1 + w2 * g2)
+    def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
+        w1, w2 = (_values(lambda t: smooth_bump(t, *b), times)[:, None, None]
+                  for b in bumps)
+        return _over_energies(_unitary_exp(w1 * g1 + w2 * g2), energies)
 
-    return PumpCycle(n_channels, evaluate, window=window, label="pulse")
+    return PumpCycle(n_channels, point_evaluator(evaluate_grid),
+                     window=window, label="pulse", evaluate_grid=evaluate_grid)
 
 
 # ---------------------------------------------------------------------------

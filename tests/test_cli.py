@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +288,20 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "uturn" in json.loads(proc.stdout)
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # 4096 nodes print ~0.5 MB of JSON, far more than a 64 KiB pipe holds,
+    # so the writer is still writing when the reader goes away
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpump.cli", "transport",
+         "--config", _battery_cfg(tmp_path), "--grid", "4096"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

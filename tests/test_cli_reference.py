@@ -26,6 +26,8 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 _PULSE = {"kind": "battery", "theta": 0.7, "window": [0.0, 10.0]}
+_RANDOM_PULSE = {"kind": "random", "n_channels": 3, "seed": 7,
+                 "window": [0.0, 10.0]}
 RUNS = {
     "transport-battery-cold": (
         "transport", {"model": {"kind": "battery"}, "state": {"mu": 1.0}},
@@ -43,6 +45,13 @@ RUNS = {
         ["--grid", "32", "--zero-t"]),
     "noise-battery-direct": (
         "noise", {"pulse": _PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
+        ["--grid", "32", "--direct"]),
+    "noise-random-zero-t": (
+        "noise", {"pulse": _RANDOM_PULSE, "state": {"mu": 1.0}},
+        ["--grid", "32", "--zero-t"]),
+    "noise-random-direct": (
+        "noise", {"pulse": _RANDOM_PULSE,
+                  "state": {"mu": 1.0, "temperature": 12.0}},
         ["--grid", "32", "--direct"]),
     "classical-plow": (
         "classical", {"classical": {"height": 1.0, "speed": 0.0141421356,

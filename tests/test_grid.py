@@ -40,6 +40,7 @@ def _random_unitary(e: float, t: float) -> np.ndarray:
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_sample_grid_matches_pointwise_evaluate(kind):
     cycle = make_pump(ModelSpec(kind, PARAMS.get(kind, {})))
+    assert cycle.evaluate_grid is not None
     grid = cycle.sample_grid(ENERGIES, TIMES)
     assert grid.shape == (TIMES.size, ENERGIES.size, 2, 2)
     assert np.max(np.abs(grid - _pointwise(cycle, ENERGIES, TIMES))) <= 1e-15
@@ -57,6 +58,19 @@ def test_bicycle_grid_equals_point_loop_bitwise():
     grid = cycle.sample_grid(energies, times)
     assert grid.shape == (7, 5, 2, 2)
     assert np.array_equal(grid, _pointwise(cycle, energies, times))
+
+
+def test_random_cycles_take_the_grid_path():
+    rng = np.random.default_rng(5)
+    cycles = [qp.make_random_analytic_cycle(n, rng, zero_energy_flat=flat)
+              for n in (1, 2, 3, 4) for flat in (False, True)]
+    cycles += [qp.make_pulse_cycle(n, rng, window=(0.0, 1.0))
+               for n in (1, 2, 3)]
+    energies = np.array([0.0, 0.4, 1.0, 2.5])
+    for cycle in cycles:
+        assert cycle.evaluate_grid is not None
+        grid = cycle.sample_grid(energies, TIMES)
+        assert np.array_equal(grid, _pointwise(cycle, energies, TIMES))
 
 
 @pytest.mark.parametrize("kind", ["battery", "snowplow"])
