@@ -97,7 +97,8 @@ def plaquette_phases(grid: np.ndarray, wrap_u: bool = False,
 
     `grid` has shape (nu, nv, dim).  The phase of the overlap product
     around one cell is the discrete Berry flux through it; values near
-    +-pi mean the discretization cannot resolve the curvature.
+    +-pi mean the discretization cannot resolve the curvature; a flux
+    that wraps past them to a small value gives a Stokes residual 2 pi k.
     """
     grid = np.asarray(grid)
     if grid.ndim != 3:
@@ -147,7 +148,8 @@ def stokes_residual(grid: np.ndarray) -> float:
     Interior links cancel pairwise in the plaquette sum, so for a patch
     fine enough that no loop phase wraps, this is a roundoff-level
     identity; it is the discrete form of the charge-as-curvature
-    statement.
+    statement.  A residual of 2 pi k means an unresolved patch: k
+    plaquette phases wrapped.
     """
     flux = surface_flux(grid)
     line = global_angle(boundary_states(grid))
@@ -159,6 +161,9 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
 
     Fourier sums of mode numbers 1 and 2 (amplitude 0.6 / (m n)) with a
     constant offset keep the vectors away from zero before normalization.
+    A draw that comes near zero at a node, or has a plaquette whose four
+    wrapped link angles (in the normalized gauge) sum to half a turn or
+    more, is unresolved on the grid and drawn again.
     """
     u = np.linspace(0.0, 1.0, 24)[:, None, None]
     v = np.linspace(0.0, 1.0, 24)[None, :, None]
@@ -175,7 +180,12 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
     norms = np.linalg.norm(vec, axis=-1, keepdims=True)
     if np.min(norms) < 1e-3:
         return random_smooth_patch(rng, dim)
-    return vec / norms
+    vec = vec / norms
+    du = np.angle(np.sum(vec[:-1].conj() * vec[1:], axis=-1))
+    dv = np.angle(np.sum(vec[:, :-1].conj() * vec[:, 1:], axis=-1))
+    if np.any(np.abs(du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]) >= math.pi):
+        return random_smooth_patch(rng, dim)
+    return vec
 
 
 # ---------------------------------------------------------------------------

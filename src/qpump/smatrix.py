@@ -46,7 +46,9 @@ class PumpCycle:
     unitary matrix.  The optional `evaluate_grid(energies, times)` takes
     1-d arrays of M energies and N times and returns all N x M matrices
     at once, shape (N, M, n_channels, n_channels), possibly as a
-    read-only view; without it `sample_grid` loops over `evaluate`.
+    read-only view; without it `sample_grid` loops over `evaluate`.  A
+    zero-stride energy axis declares the cycle energy-independent, and
+    the stencil then works on one energy.
     A cycle has a `period` or a `window` (outside which the scatterer is
     static), not both; every time integral takes its nodes from
     `time_grid` on that domain.  Families with neither (open protocols)
@@ -98,8 +100,9 @@ class PumpCycle:
         """S at every (times[k], energies[m]), shape (N, M, n, n).
 
         The result may be a read-only view: energy-independent models
-        broadcast one matrix per time over all energies.  Copy it before
-        writing into it.
+        broadcast one matrix per time over all energies, and the stencil
+        reads the zero-stride energy axis as a promise that S does not
+        depend on energy.  Copy it before writing into it.
         """
         energies = np.ravel(np.asarray(energies, dtype=float))
         times = np.ravel(np.asarray(times, dtype=float))
@@ -194,9 +197,16 @@ def decompose_two_channel(s: np.ndarray) -> TwoChannelParams:
     return TwoChannelParams(theta=theta, alpha=alpha, phi=phi, gamma=gamma)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """A stack of matrices with every zero-stride (broadcast) leading axis
+    cut to length 1; `np.broadcast_to` restores the full shape."""
+    return a[tuple(slice(None, 1) if step == 0 else slice(None)
+                   for step in a.strides[:-2])]
+
+
 def _unitarity_defect(s: np.ndarray) -> float:
     """Worst max-norm of S S^dagger - 1 over a stack of matrices."""
-    n = s.shape[-1]
+    s, n = _distinct(s), s.shape[-1]
     return float(np.max(np.abs(s @ _dagger(s) - np.eye(n)), initial=0.0))
 
 
@@ -229,7 +239,8 @@ class Stencil:
     nodes, at t + h_t, t - h_t and, under Richardson, at t + h_t / 2,
     t - h_t / 2, in that order.  `delay` and `ds_de` are None unless the
     delay was requested.  `residual` is the worst Hermitization
-    correction over all nodes.
+    correction over all nodes.  The arrays may be read-only views: the
+    differences are formed once per distinct matrix and broadcast.
     """
 
     shift: np.ndarray
@@ -241,7 +252,7 @@ class Stencil:
     h_t: float
 
 
-def _difference(pm: np.ndarray, h) -> np.ndarray:
+def _difference(pm, h) -> np.ndarray:
     """Central difference from samples at +h, -h [, +h/2, -h/2]."""
     d = (pm[0] - pm[1]) / (2.0 * h)
     if len(pm) == 4:
@@ -257,19 +268,21 @@ def stencil(cycle: PumpCycle, energies, times,
     Steps are h_t = h_t_rel * time_scale and h_e = h_e_rel * max(E, 1).
     Every sample must be unitary to `q.unitarity_tol`, otherwise
     NonUnitary is raised; the Hermitization residual is returned, not
-    checked.
+    checked.  Matrix work is done once per distinct (unbroadcast) sample.
     """
     energies = np.ravel(np.asarray(energies, dtype=float))
     times = np.ravel(np.asarray(times, dtype=float))
     n_t, n_e, n = times.size, energies.size, cycle.n_channels
+    shape = (n_t, n_e, n, n)
     he, ht = _steps(cycle, energies, q)
     steps_t = (ht, ht / 2) if q.richardson else (ht,)
     grid_t = np.concatenate([times] + [times + d for h in steps_t
                                        for d in (h, -h)])
     samples = cycle.sample_grid(energies, grid_t).reshape(-1, n_t, n_e, n, n)
     _check_unitary(samples, q.unitarity_tol)
-    s0h = _dagger(samples[0])
-    ds_dt = _difference(samples[1:], ht)
+    s0, *pm = [_distinct(s) for s in samples]
+    s0h = _dagger(s0)
+    ds_dt = _difference(pm, ht)
     shift, resid = _hermitize(1j * ds_dt @ s0h)
 
     delay_h = ds_de = None
@@ -280,10 +293,13 @@ def stencil(cycle: PumpCycle, energies, times,
         around = cycle.sample_grid(grid_e, times)
         around = around.reshape(n_t, -1, n_e, n, n).swapaxes(0, 1)
         _check_unitary(around, q.unitarity_tol)
-        ds_de = _difference(around, he[:, None, None])
+        pm = [_distinct(s) for s in around]
+        ds_de = _difference(pm, he[:pm[0].shape[1], None, None])
         delay_h, resid_e = _hermitize(-1j * ds_de @ s0h)
         resid = max(resid, resid_e)
-    return Stencil(shift=shift, delay=delay_h, ds_dt=ds_dt, ds_de=ds_de,
+        delay_h, ds_de = (np.broadcast_to(a, shape) for a in (delay_h, ds_de))
+    return Stencil(shift=np.broadcast_to(shift, shape), delay=delay_h,
+                   ds_dt=np.broadcast_to(ds_dt, shape), ds_de=ds_de,
                    samples=samples, residual=resid, h_t=ht)
 
 

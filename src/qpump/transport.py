@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from .errors import ZeroTemperature
 from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
-from .smatrix import PumpCycle, Stencil, stencil
+from .smatrix import PumpCycle, Stencil, _distinct, stencil
 
 # 1 / integral_0^1 of the window shape over filling factors:
 # -x ln x - (1-x) ln(1-x) integrates to 1/2, x (1-x) to 1/6.
@@ -129,10 +129,12 @@ def _thermal_average(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, squared row norm and off-diagonal row weight of Hermitian
-    energy-shift matrices, shape (..., n, n)."""
-    diag = np.real(np.diagonal(shift, axis1=-2, axis2=-1))
-    rows = np.sum(np.abs(shift) ** 2, axis=-1)
-    return diag, rows, rows - diag ** 2
+    energy-shift matrices, shape (..., n, n), from the distinct ones."""
+    d = _distinct(shift)
+    diag = np.real(np.diagonal(d, axis1=-2, axis2=-1))
+    rows = np.sum(np.abs(d) ** 2, axis=-1)
+    return tuple(np.broadcast_to(a, shift.shape[:-1])
+                 for a in (diag, rows, rows - diag ** 2))
 
 
 def _offdiag(cycle: PumpCycle, mu: float, times,
@@ -229,7 +231,9 @@ def _det_phase_rates(st: Stencil) -> np.ndarray:
     Local phase increments are wrapped to (-pi, pi], which is safe for
     the small stencil steps used here.
     """
-    _, plus, minus, plus2, minus2 = np.angle(np.linalg.det(st.samples))
+    det = np.linalg.det(_distinct(st.samples))
+    _, plus, minus, plus2, minus2 = np.angle(
+        np.broadcast_to(det, st.samples.shape[:-2]))
     h = st.h_t
     d1 = _wrap_angle(plus - minus) / (2.0 * h)
     d2 = _wrap_angle(plus2 - minus2) / (2.0 * (h / 2.0))

@@ -28,6 +28,10 @@ ATOL = 1e-12
 _PULSE = {"kind": "battery", "theta": 0.7, "window": [0.0, 10.0]}
 _RANDOM_PULSE = {"kind": "random", "n_channels": 3, "seed": 7,
                  "window": [0.0, 10.0]}
+# energy-independent (its stencil works on one energy) and, as the
+# control, energy-dependent cycles at finite temperature
+_CUSTOM = {"theta_base": 0.7, "theta_amp": 0.3, "alpha_amp": 0.4,
+           "phi_amp": 1.0, "gamma_amp": 0.2}
 RUNS = {
     "transport-battery-cold": (
         "transport", {"model": {"kind": "battery"}, "state": {"mu": 1.0}},
@@ -35,6 +39,15 @@ RUNS = {
     "transport-battery-warm": (
         "transport", {"model": {"kind": "battery"},
                       "state": {"mu": 1.0, "temperature": 0.1}},
+        ["--grid", "32"]),
+    "transport-custom-warm": (
+        "transport", {"model": {"kind": "custom-two-channel",
+                                "params": _CUSTOM},
+                      "state": {"mu": 1.0, "temperature": 0.2}},
+        ["--grid", "32"]),
+    "transport-snowplow-warm": (
+        "transport", {"model": {"kind": "snowplow"},
+                      "state": {"mu": 1.0, "temperature": 0.2}},
         ["--grid", "32"]),
     "geometry-bicycle": (
         "geometry", {"model": {"kind": "bicycle", "params": {"length": 1.0}},

@@ -2,17 +2,20 @@
 
 `PumpCycle.sample_grid` must reproduce the per-point `evaluate` whether a
 cycle brings its own `evaluate_grid` or falls back to the point loop, and
-the grid kernel must agree with the per-point differential data.
+the grid kernel must agree with the per-point differential data.  A
+cycle whose grid broadcasts one matrix per time over the energies is
+differenced at one energy, bit-equal to the same cycle sampled densely.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import qpump as qp
+from qpump.cli import build_pulse
 from qpump.models import MODEL_KINDS, ModelSpec, make_pump
 from qpump.smatrix import stencil
 
@@ -176,3 +179,46 @@ def test_custom_grid_is_no_more_permissive_than_evaluate():
     for params in ({"theta_base": 0.8, "theta_amp": 0.9}, {"theta_base": 2.0}):
         with pytest.raises(ValueError, match="theta_base"):
             make_pump(ModelSpec("custom-two-channel", params))
+
+
+def _energy_free_cycle(name: str) -> qp.PumpCycle:
+    if name == "battery-pulse":
+        return build_pulse({"pulse": {"kind": "battery", "theta": 0.7,
+                                      "window": [0.0, 10.0]}}, 0)
+    return make_pump(ModelSpec(name, PARAMS.get(name, {})))
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["battery", "optimal", "sink",
+                                  "custom-two-channel", "battery-pulse"])
+def test_energy_independent_cycles_take_the_broadcast_path(name):
+    cycle = _energy_free_cycle(name)
+    grid = cycle.evaluate_grid
+    # the same S as a writable copy with no zero strides
+    dense = replace(cycle, evaluate_grid=lambda e, t: np.array(grid(e, t)))
+    t0, t1 = cycle.window or (0.0, cycle.period)
+    times = t0 + (t1 - t0) * TIMES
+    assert 0 not in dense.sample_grid(ENERGIES, times).strides
+    for richardson in (False, True):
+        q = replace(Q, richardson=richardson)
+        for delay in (False, True):
+            got = stencil(cycle, ENERGIES, times, q, delay=delay)
+            want = stencil(dense, ENERGIES, times, q, delay=delay)
+            assert got.shift.strides[1] == 0 and want.shift.strides[1] != 0
+            for attr in ("shift", "ds_dt", "delay", "ds_de"):
+                assert _same(getattr(got, attr), getattr(want, attr)), attr
+            assert got.residual == want.residual
+    q = replace(Q, n_time=32)
+    for state in (qp.ThermalState(mu=1.0),
+                  qp.ThermalState(mu=1.0, temperature=0.2)):
+        got = qp.transport_report(cycle, state, q)
+        want = qp.transport_report(dense, state, q)
+        for f in fields(got):
+            assert _same(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert (qp.birman_krein_residual(cycle, state, Q)
+                == qp.birman_krein_residual(dense, state, Q))

@@ -64,11 +64,16 @@ def test_charge_is_gauge_and_fiducial_invariant(cycle, state, seed):
 
 
 @SETTINGS
-@given(seeds, st.integers(2, 4))
+@given(seeds, st.integers(1, 4))
 def test_patch_flux_telescopes(seed, dim):
-    # c07.  Not dim 1: a field of phases often winds around a zero
-    # between the nodes, where a plaquette phase wraps to a small value
-    # and the identity is off by 2 pi (seed 578 gives 6.283); seeds
-    # 0-999 do that 261 times at dim 1 and 6 times at dim 2.
+    # c07
     patch = qp.random_smooth_patch(np.random.default_rng(seed), dim=dim)
     assert qp.stokes_residual(patch) < 1e-6
+
+
+def test_unresolved_patches_are_drawn_again():
+    # these first draws wind around a zero between the nodes: a plaquette
+    # phase wraps to a small value and the residual would be 2 pi
+    for seed, dim in ((578, 1), (51, 2)):
+        patch = qp.random_smooth_patch(np.random.default_rng(seed), dim=dim)
+        assert qp.stokes_residual(patch) < 1e-6
