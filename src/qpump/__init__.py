@@ -27,8 +27,8 @@ from .geometry import (amplitude_winding, boundary_states,
                        charge_from_global_angle, cylinder_charge,
                        fractional_charge, global_angle, hopf_vector,
                        plaquette_phases, random_smooth_patch, row_states,
-                       sphere_path, spherical_polygon_area, stokes_residual,
-                       surface_flux, winding_number)
+                       spherical_polygon_area, stokes_residual, surface_flux,
+                       winding_number)
 from .models import (BicycleGeometry, GalileanCheck, ModelSpec,
                      PiecewisePotential, bicycle_path, galilean_check,
                      make_battery_cycle, make_bicycle_cycle,

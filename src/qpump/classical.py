@@ -145,9 +145,9 @@ def inverse_scatter(spec: PlowSpec, energy_out: float, time_out: float,
 # ---------------------------------------------------------------------------
 # transmit/reflect partition of the incoming plane
 
-def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
-                       channel: int) -> bool:
-    """Closed-form partition of the incoming (E, t) plane.
+def _partition(spec: PlowSpec, energy: float,
+               channel: int) -> tuple[float, float]:
+    """Energy threshold at the moving wall and the switch time of |t|.
 
     A crossing at |t| beyond travel_time * (1 -+ speed / sqrt(2E)) meets
     the barrier parked (threshold E > height); inside, it meets the
@@ -156,26 +156,25 @@ def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
     _check_lead(channel)
     s = math.sqrt(2.0 * energy)
     v0, w, h = spec.speed, spec.travel_time, spec.height
-    if channel == 0:
-        if s <= v0:
-            return energy > h       # can only ever meet the parked wall
-        moving = abs(time_in) < w * (1.0 - v0 / s)
-        return 0.5 * (s - v0) ** 2 > h if moving else energy > h
-    moving = abs(time_in) < w * (1.0 + v0 / s)
-    return 0.5 * (s + v0) ** 2 > h if moving else energy > h
+    sign = -1.0 if channel == 0 else 1.0
+    e_moving = 0.5 * max(math.sqrt(2.0 * h) - sign * v0, 0.0) ** 2
+    t_switch = w * (1.0 + sign * v0 / s) if s > 0 else w
+    return e_moving, t_switch
+
+
+def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
+                       channel: int) -> bool:
+    """Closed-form partition of the incoming (E, t) plane."""
+    e_moving, t_switch = _partition(spec, energy, channel)
+    moving = abs(time_in) < t_switch
+    return energy > (e_moving if moving else spec.height)
 
 
 def partition_margin(spec: PlowSpec, energy: float, time_in: float,
                      channel: int) -> float:
     """Distance of an incoming point to the nearest partition boundary."""
-    _check_lead(channel)
-    s = math.sqrt(2.0 * energy)
-    v0, w, h = spec.speed, spec.travel_time, spec.height
-    sign = -1.0 if channel == 0 else 1.0
-    e_moving = 0.5 * (math.sqrt(2.0 * h) + sign * (-v0)) ** 2 \
-        if channel == 0 else 0.5 * max(math.sqrt(2.0 * h) - v0, 0.0) ** 2
-    t_switch = w * (1.0 + sign * v0 / s) if s > 0 else w
-    margins = [abs(energy - h), abs(energy - e_moving),
+    e_moving, t_switch = _partition(spec, energy, channel)
+    margins = [abs(energy - spec.height), abs(energy - e_moving),
                abs(abs(time_in) - t_switch)]
     return min(margins)
 
@@ -188,7 +187,9 @@ def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
     the boundaries the two must agree exactly.
     """
     bad = 0
-    for e, t, ch in zip(energies, times, channels):
+    # python scalars: numpy scalar arithmetic is several times slower
+    for e, t, ch in zip(*(np.asarray(a).tolist()
+                          for a in (energies, times, channels))):
         ch = int(ch)
         if partition_margin(spec, e, t, ch) < PARTITION_MARGIN:
             continue
@@ -209,10 +210,12 @@ def classical_energy_shift(spec: PlowSpec, energy_out: float, time_out: float,
                                         channel_out).energy
 
 
-def _outgoing_window(spec: PlowSpec, mu: float) -> tuple[float, float]:
+def _outgoing_window(spec: PlowSpec, mu: float,
+                     n_time: int) -> tuple[np.ndarray, float]:
+    """Midpoint exit times covering every energy shift at mu, and dt."""
     s = math.sqrt(2.0 * mu)
     pad = spec.travel_time * (1.0 + 6.0 * spec.speed / s) + 4.0 * spec.speed
-    return -2.0 * pad, 2.0 * pad
+    return midpoint_grid(-2.0 * pad, 2.0 * pad, n_time)
 
 
 def plow_charge_bpt(spec: PlowSpec, mu: float,
@@ -223,8 +226,7 @@ def plow_charge_bpt(spec: PlowSpec, mu: float,
     exits at (mu, t', j); the classical analogue of the frozen-matrix
     charge formula, exact to first order in the barrier speed.
     """
-    lo, hi = _outgoing_window(spec, mu)
-    times, dt = midpoint_grid(lo, hi, n_time)
+    times, dt = _outgoing_window(spec, mu, n_time)
     out = np.zeros(2)
     for j in (0, 1):
         out[j] = sum(classical_energy_shift(spec, mu, t, j) for t in times)
@@ -240,8 +242,7 @@ def plow_charge_direct(spec: PlowSpec, mu: float,
     integrated with the phase-space density 1/(2 pi), is the transferred
     charge.  No adiabatic approximation enters.
     """
-    lo, hi = _outgoing_window(spec, mu)
-    times, dt = midpoint_grid(lo, hi, n_time)
+    times, dt = _outgoing_window(spec, mu, n_time)
     span = 4.0 * spec.speed * (math.sqrt(2.0 * mu) + spec.speed) + 1e-6
     out = np.zeros(2)
     for j in (0, 1):
@@ -324,40 +325,31 @@ def classical_battery_shift(delta_phi: float, energy: float,
     x0 = -1.5
     v_in = math.sqrt(2.0 * energy)
 
-    def rhs_full(t, y):
-        x, p = y
-        vel = p - t * slope(x)
-        return [vel, vel * t * curvature(x)]
-
     def crossed(t, y):
         return y[0] - 1.5
     crossed.terminal = True
     crossed.direction = 1.0
 
+    def exit_velocity(clock, t_span, p_start: float, what: str) -> float:
+        # velocity where the run from x0 under A = clock(t) phi'(x) leaves
+        def rhs(t, y):
+            x, p = y
+            vel = p - clock(t) * slope(x)
+            return [vel, vel * clock(t) * curvature(x)]
+        sol = solve_ivp(rhs, t_span, [x0, p_start], method="DOP853",
+                        rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
+                        events=crossed, max_step=0.05)
+        if not sol.t_events[0].size:
+            raise RuntimeError(f"{what} did not cross the field region")
+        x_end, p_end = sol.y_events[0][0]
+        return p_end - clock(sol.t_events[0][0]) * slope(x_end)
+
     horizon = start_time + 3.0 / math.sqrt(2.0 * (energy - delta_phi)) + 10.0
-    sol = solve_ivp(rhs_full, (start_time, horizon), [x0, v_in],
-                    method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
-                    events=crossed, max_step=0.05)
-    if not sol.t_events[0].size:
-        raise RuntimeError("trajectory did not cross the field region")
-    t_end = sol.t_events[0][0]
-    x_end, p_end = sol.y_events[0][0]
-    v_out = p_end - t_end * slope(x_end)
+    v_out = exit_velocity(lambda t: t, (start_time, horizon), v_in,
+                          "trajectory")
     e_out = 0.5 * v_out ** 2
-
-    def rhs_frozen(t, y):
-        x, p = y
-        vel = p - start_time * slope(x)
-        return [vel, vel * start_time * curvature(x)]
-
-    sol_f = solve_ivp(rhs_frozen, (0.0, horizon - start_time),
-                      [x0, v_in + start_time * slope(x0)],
-                      method="DOP853", rtol=BATTERY_RTOL, atol=BATTERY_RTOL,
-                      events=crossed, max_step=0.05)
-    if not sol_f.t_events[0].size:
-        raise RuntimeError("frozen trajectory did not cross the field region")
-    xf, pf = sol_f.y_events[0][0]
-    vf = pf - start_time * slope(xf)
+    vf = exit_velocity(lambda t: start_time, (0.0, horizon - start_time),
+                       v_in + start_time * slope(x0), "frozen trajectory")
 
     return BatteryFieldResult(
         energy_in=energy,

@@ -301,11 +301,10 @@ def cmd_transport(args) -> int:
         header += [f"entropy_rate_{j}" for j in range(n_ch)]
         header += [f"noise_rate_{j}" for j in range(n_ch)]
         columns += [*report.entropy_rate.T, *report.noise_rate.T]
-    rows = zip(*[list(map(float, c)) for c in columns])
+    columns = [list(map(float, c)) for c in columns]
+    rows = zip(*columns)
 
-    payload = {"summary": summary,
-               "series": {name: list(map(float, col))
-                          for name, col in zip(header, columns)}}
+    payload = {"summary": summary, "series": dict(zip(header, columns))}
     meta = {k: v for k, v in summary.items()}
     _emit(args, payload, header, rows, meta)
     return 0
@@ -464,13 +463,26 @@ def cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
+# flags that several subcommands take -> their add_argument keywords
+_SHARED_FLAGS = {
+    "--grid": {"type": int, "help": "time samples per cycle or pulse window"},
+    "--mu": {"type": float, "help": "override state.mu"},
+    "--temperature": {"type": float, "help": "override state.temperature"},
+    "--channel": {"type": int, "default": 0},
+    "--seed": {"type": int, "default": 0},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str,
+                config_required: bool = True):
     if config_required:
         p.add_argument("--config", required=True,
                        help="path to the JSON configuration")
     p.add_argument("--out", default="-",
                    help="output file, '-' for stdout (default)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,40 +492,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transport", help="currents and per-cycle totals")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="time samples per cycle")
-    p.add_argument("--mu", type=float, help="override state.mu")
-    p.add_argument("--temperature", type=float,
-                   help="override state.temperature")
+    _add_common(p, "--grid", "--mu", "--temperature")
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("geometry", help="geometric charge formulas")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="time samples per cycle")
-    p.add_argument("--mu", type=float, help="override state.mu")
-    p.add_argument("--channel", type=int, default=0)
+    _add_common(p, "--grid", "--mu", "--channel")
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("noise", help="counting statistics of a pulse")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="time samples across the window")
-    p.add_argument("--mu", type=float, help="override state.mu")
-    p.add_argument("--temperature", type=float,
-                   help="override state.temperature")
-    p.add_argument("--channel", type=int, default=0)
+    _add_common(p, "--grid", "--mu", "--temperature", "--channel", "--seed")
     p.add_argument("--zero-t", action="store_true", dest="zero_t",
                    help="zero-temperature shot noise instead of the split")
     p.add_argument("--direct", action="store_true",
                    help="also evaluate the unsplit second cumulant")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("classical", help="moving-barrier checks")
-    _add_common(p)
-    p.add_argument("--mu", type=float, help="override state.mu")
+    _add_common(p, "--mu", "--seed")
     p.add_argument("--points", type=int, default=2000,
                    help="partition sample size")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("models-list", help="built-in models and parameters")

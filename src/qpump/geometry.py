@@ -103,20 +103,15 @@ def plaquette_phases(grid: np.ndarray, wrap_u: bool = False,
     grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ValueError("need a (nu, nv, dim) array of states")
+    # a wrapped axis closes through a copy of its first row or column
     if wrap_u:
-        u0, u1 = grid, np.roll(grid, -1, axis=0)
-    else:
-        u0, u1 = grid[:-1], grid[1:]
+        grid = np.concatenate([grid, grid[:1]], axis=0)
     if wrap_v:
-        v_index = np.arange(grid.shape[1])
-        v_next = np.roll(v_index, -1)
-    else:
-        v_index = np.arange(grid.shape[1] - 1)
-        v_next = v_index + 1
-    p00 = u0[:, v_index]
-    p10 = u1[:, v_index]
-    p11 = u1[:, v_next]
-    p01 = u0[:, v_next]
+        grid = np.concatenate([grid, grid[:, :1]], axis=1)
+    p00 = grid[:-1, :-1]
+    p10 = grid[1:, :-1]
+    p11 = grid[1:, 1:]
+    p01 = grid[:-1, 1:]
     # angle of the overlap product, so per-sample gauge choices drop out
     chi = np.angle(_links(p00, p10) * _links(p10, p11)
                    * _links(p11, p01) * _links(p01, p00))
@@ -161,9 +156,10 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
 
     Fourier sums of mode numbers 1 and 2 (amplitude 0.6 / (m n)) with a
     constant offset keep the vectors away from zero before normalization.
-    A draw that comes near zero at a node, or has a plaquette whose four
-    wrapped link angles (in the normalized gauge) sum to half a turn or
-    more, is unresolved on the grid and drawn again.
+    A draw that comes near zero at a node, that `plaquette_phases`
+    refuses, or that has a plaquette whose four wrapped link angles (in
+    the normalized gauge) sum to half a turn or more, is unresolved on
+    the grid and drawn again.
     """
     u = np.linspace(0.0, 1.0, 24)[:, None, None]
     v = np.linspace(0.0, 1.0, 24)[None, :, None]
@@ -181,8 +177,12 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
     if np.min(norms) < 1e-3:
         return random_smooth_patch(rng, dim)
     vec = vec / norms
-    du = np.angle(np.sum(vec[:-1].conj() * vec[1:], axis=-1))
-    dv = np.angle(np.sum(vec[:, :-1].conj() * vec[:, 1:], axis=-1))
+    try:
+        plaquette_phases(vec)
+    except GridTooCoarse:
+        return random_smooth_patch(rng, dim)
+    du = np.angle(_links(vec[:-1], vec[1:]))
+    dv = np.angle(_links(vec[:, :-1], vec[:, 1:]))
     if np.any(np.abs(du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]) >= math.pi):
         return random_smooth_patch(rng, dim)
     return vec
@@ -271,13 +271,6 @@ def hopf_vector(row: np.ndarray) -> np.ndarray:
     return (n / norm).reshape(row.shape[:-1] + (3,))
 
 
-def sphere_path(cycle: PumpCycle, channel: int, mu: float,
-                q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Loop swept on the sphere by the row image over one period."""
-    return hopf_vector(row_states(cycle, channel, mu,
-                                  _period_times(cycle, q)))
-
-
 def spherical_polygon_area(points: np.ndarray) -> float:
     """Signed area bounded by a loop of unit vectors.
 
@@ -309,6 +302,8 @@ def spherical_polygon_area(points: np.ndarray) -> float:
 
 def fractional_charge(cycle: PumpCycle, channel: int, mu: float,
                       q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Pumped charge modulo 1 from the swept solid angle / 4 pi."""
-    path = sphere_path(cycle, channel, mu, q)
+    """Pumped charge modulo 1 from the solid angle / 4 pi that the row
+    image sweeps on the sphere over one period."""
+    path = hopf_vector(row_states(cycle, channel, mu,
+                                  _period_times(cycle, q)))
     return spherical_polygon_area(path) / (2.0 * TWO_PI)

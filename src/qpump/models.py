@@ -570,10 +570,16 @@ def _fill_params(spec: ModelSpec) -> dict[str, float]:
     return out
 
 
+# kind whose swept angle grows at a constant rate -> (maker, rate key)
+_RATE_DRIVEN = {"battery": (make_battery_cycle, "phi_rate"),
+                "optimal": (make_optimal_cycle, "phi_rate"),
+                "sink": (make_sink_cycle, "gamma_rate")}
+
+
 def make_pump(spec: ModelSpec) -> PumpCycle:
     """Build the PumpCycle described by a ModelSpec."""
     p = _fill_params(spec)
-    if spec.kind in ("snowplow", "battery", "sink", "optimal"):
+    if spec.kind in ("snowplow", *_RATE_DRIVEN):
         base = TwoChannelParams(theta=p["theta"], alpha=p["alpha0"],
                                 phi=p["phi0"], gamma=p["gamma0"])
     if spec.kind == "snowplow":
@@ -582,14 +588,10 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         return make_snowplow_cycle(
             base, xi=lambda t: amp * math.sin(TWO_PI * t / period),
             period=period)
-    if spec.kind == "battery":
-        rate = p["phi_rate"]
-        return make_battery_cycle(base, phi=lambda t: rate * t,
-                                  period=TWO_PI / rate)
-    if spec.kind == "sink":
-        rate = p["gamma_rate"]
-        return make_sink_cycle(base, gamma=lambda t: rate * t,
-                               period=TWO_PI / rate)
+    if spec.kind in _RATE_DRIVEN:
+        maker, key = _RATE_DRIVEN[spec.kind]
+        rate = p[key]
+        return maker(base, lambda t: rate * t, period=TWO_PI / rate)
     if spec.kind == "uturn":
         period = p["period"]
         quanta = p["flux_quanta"]
@@ -598,10 +600,6 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         return make_uturn_cycle(
             ell=p["ell"], flux=lambda t: TWO_PI * quanta * t / period,
             period=period)
-    if spec.kind == "optimal":
-        rate = p["phi_rate"]
-        return make_optimal_cycle(base, phi=lambda t: rate * t,
-                                  period=TWO_PI / rate)
     if spec.kind == "bicycle":
         geometry = BicycleGeometry(length=p["length"], barrier=p["barrier"],
                                    delta=p["delta"])

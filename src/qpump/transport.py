@@ -30,11 +30,16 @@ ENTROPY_NORM = 2.0
 NOISE_NORM = 6.0
 
 
-def entropy_weight(x: float) -> float:
-    """Binary entropy -x ln x - (1-x) ln(1-x); integral over [0, 1] is 1/2."""
+def _filling(x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError("filling factor must lie in [0, 1]")
+    return x
+
+
+def entropy_weight(x: float) -> float:
+    """Binary entropy -x ln x - (1-x) ln(1-x); integral over [0, 1] is 1/2."""
+    x = _filling(x)
     out = 0.0
     if x > 0.0:
         out -= x * math.log(x)
@@ -45,9 +50,7 @@ def entropy_weight(x: float) -> float:
 
 def noise_weight(x: float) -> float:
     """Partition noise factor x (1 - x); integral over [0, 1] is 1/6."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("filling factor must lie in [0, 1]")
+    x = _filling(x)
     return x * (1.0 - x)
 
 
@@ -96,7 +99,8 @@ def thermal_energy_nodes(state: ThermalState,
 
     Two Gauss-Legendre panels meeting at mu, each reaching out
     `energy_window` temperatures (clipped below so stencils stay inside
-    the physical band E > 0).
+    the physical band E > 0); the upper one takes the odd node of an odd
+    `n_energy`.
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("no thermal window at zero temperature")
@@ -105,7 +109,7 @@ def thermal_energy_nodes(state: ThermalState,
     floor = max(1e-8, 10.0 * q.h_e_rel * max(state.mu, 1.0))
     lo = max(state.mu - reach, floor)
     x1, w1 = gauss_legendre(lo, state.mu, half)
-    x2, w2 = gauss_legendre(state.mu, state.mu + reach, half)
+    x2, w2 = gauss_legendre(state.mu, state.mu + reach, q.n_energy - half)
     return np.concatenate([x1, x2]), np.concatenate([w1, w2])
 
 

@@ -49,6 +49,13 @@ RUNS = {
         "transport", {"model": {"kind": "snowplow"},
                       "state": {"mu": 1.0, "temperature": 0.2}},
         ["--grid", "32"]),
+    "transport-sink-warm": (
+        "transport", {"model": {"kind": "sink"},
+                      "state": {"mu": 1.0, "temperature": 0.1}},
+        ["--grid", "32"]),
+    "transport-optimal-cold": (
+        "transport", {"model": {"kind": "optimal"}, "state": {"mu": 1.0}},
+        ["--grid", "32"]),
     "geometry-bicycle": (
         "geometry", {"model": {"kind": "bicycle", "params": {"length": 1.0}},
                      "state": {"mu": 1.0}},

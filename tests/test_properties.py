@@ -3,7 +3,8 @@
 The acceptance gates check each invariant on a few fixed seeds; here
 hypothesis draws the random analytic cycle (seed, 1-4 channels, either
 energy profile), the Fermi energy and the temperature (zero or
-0.02-0.3), and each invariant is held to the bound of its gate.  The
+0.02-0.3), and each invariant is held to the bound of its gate; the
+charge sum rule also draws whole turns of a global phase.  The
 draws are derandomized, so a run is reproducible and a failure names
 its example.
 """
@@ -16,6 +17,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import qpump as qp
+from qpump.quadrature import TWO_PI
+from qpump.smatrix import point_evaluator
 
 Q = qp.QuadratureSpec()
 # the invariants below hold node by node, so a coarse time grid suffices
@@ -61,6 +64,35 @@ def test_charge_is_gauge_and_fiducial_invariant(cycle, state, seed):
         phases=rng.uniform(-math.pi, math.pi, n))
     base = qp.cycle_charge(cycle, state, COARSE)
     assert np.max(np.abs(qp.cycle_charge(moved, state, COARSE) - base)) < 1e-9
+
+
+def _turned(cycle: qp.PumpCycle, turns: int) -> qp.PumpCycle:
+    """The cycle times e^{2 pi i turns t / period}: det S winds
+    n_channels * turns more times."""
+    def evaluate_grid(energies, times):
+        phase = np.exp(1j * TWO_PI * turns * times / cycle.period)
+        return phase[:, None, None, None] * cycle.sample_grid(energies, times)
+
+    return qp.PumpCycle(cycle.n_channels, point_evaluator(evaluate_grid),
+                        period=cycle.period, label=cycle.label + "+turns",
+                        evaluate_grid=evaluate_grid)
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 3), st.booleans(), st.integers(-2, 2),
+       st.floats(0.3, 3.0))
+def test_total_charge_is_minus_det_winding(seed, n, flat, turns, mu):
+    # zero temperature only: at T > 0 the thermal window is clipped at
+    # the band bottom, and the weight lost there is missing from the sum
+    base = qp.make_random_analytic_cycle(n, np.random.default_rng(seed),
+                                         zero_energy_flat=flat)
+    cycle = _turned(base, turns)
+    times, _ = cycle.time_grid(Q.n_time)
+    winding = qp.winding_number(
+        np.linalg.det(cycle.sample_grid(mu, times)[:, 0]))
+    assert winding == n * turns   # det exp(i H) = exp(i tr H) never winds
+    total = np.sum(qp.cycle_charge(cycle, qp.ThermalState(mu=mu), Q))
+    assert abs(total + winding) < 1e-6
 
 
 @SETTINGS

@@ -113,6 +113,14 @@ def test_optimal_cycle_saturates_dissipation():
     assert np.max(np.abs(np.abs(cur) - rate / TWO_PI)) < 1e-8
 
 
+def test_thermal_nodes_honor_odd_counts():
+    state = qp.ThermalState(mu=1.0, temperature=0.1)
+    for n in (16, 17):
+        nodes, weights = qp.thermal_energy_nodes(state,
+                                                 replace(Q, n_energy=n))
+        assert nodes.size == weights.size == n
+
+
 def test_thermal_average_loses_weight_below_band_bottom():
     # with T comparable to mu the Fermi derivative sticks out below the
     # band bottom; the missing weight is f(floor) - f(top), not 1.
