@@ -45,8 +45,10 @@ class PlowSpec:
     travel_time: float = 10.0
 
     def __post_init__(self):
-        if self.height <= 0 or self.speed < 0 or self.travel_time <= 0:
-            raise ValueError("need height > 0, speed >= 0, travel_time > 0")
+        # written so that NaN fails too
+        if not (0.0 < self.height < math.inf and 0.0 <= self.speed < math.inf
+                and 0.0 < self.travel_time < math.inf):
+            raise ValueError("need finite height > 0, speed >= 0, travel_time > 0")
 
     def _pieces(self):
         w, v0 = self.travel_time, self.speed
@@ -97,8 +99,9 @@ def _check_lead(channel: int) -> None:
 def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
                       channel: int, max_events: int = 64) -> ScatterResult:
     """Map an incoming asymptotic state through the plow."""
-    if energy <= 0.0:
-        raise ValueError("incoming energy must be positive")
+    # written so that NaN fails too
+    if not (0.0 < energy < math.inf and -math.inf < time_in < math.inf):
+        raise ValueError("need a finite incoming time and energy > 0")
     _check_lead(channel)
     v = math.sqrt(2.0 * energy) * (1.0 if channel == 0 else -1.0)
     x_ref, t_ref, after = 0.0, float(time_in), -math.inf

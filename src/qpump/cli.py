@@ -53,14 +53,10 @@ from .transport import (ThermalState, birman_krein_residual, bpt_current,
 _TOP_KEYS = {"model", "state", "quadrature", "classical", "pulse"}
 _STATE_KEYS = {"mu", "temperature"}
 _CLASSICAL_KEYS = {"height", "speed", "travel_time"}
-# two-channel pulse kind -> (maker, key of the total angle it sweeps)
-_SWEPT_PULSES = {"battery": (models.make_battery_cycle, "phi_total"),
-                 "optimal": (models.make_optimal_cycle, "phi_total"),
-                 "sink": (models.make_sink_cycle, "gamma_total")}
 # pulse kind -> keys it takes besides "kind" and "window"
 _PULSE_KEYS = {"random": {"amplitude", "n_channels", "seed"},
-               **{kind: {"theta", key}
-                  for kind, (_, key) in _SWEPT_PULSES.items()}}
+               **{kind: {"theta", f"{angle}_total"}
+                  for kind, (_, angle) in models._SWEPT_ANGLE.items()}}
 _QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)}
 
 
@@ -213,8 +209,8 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
         base = TwoChannelParams(theta=theta)
     except ValueError as exc:
         raise SchemaError(str(exc), "pulse.theta")
-    maker, key = _SWEPT_PULSES[kind]
-    total = _number(section, key, "pulse", default=TWO_PI)
+    maker, angle = models._SWEPT_ANGLE[kind]
+    total = _number(section, f"{angle}_total", "pulse", default=TWO_PI)
     return maker(base, lambda t: total * models.smooth_step(t, t0, t1),
                  window=(t0, t1))
 

@@ -306,8 +306,10 @@ class BicycleGeometry:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.length <= self.delta or self.delta <= 0 or self.barrier <= 0:
-            raise ValueError("need 0 < delta < length and barrier > 0")
+        # written so that NaN fails too
+        if not (0.0 < self.delta < self.length < math.inf
+                and 0.0 < self.barrier < math.inf):
+            raise ValueError("need 0 < delta < length and barrier > 0, all finite")
 
     def smatrix(self, a, b, energy) -> np.ndarray:
         """S at valve setting a, piston level b and energy E.
@@ -570,16 +572,16 @@ def _fill_params(spec: ModelSpec) -> dict[str, float]:
     return out
 
 
-# kind whose swept angle grows at a constant rate -> (maker, rate key)
-_RATE_DRIVEN = {"battery": (make_battery_cycle, "phi_rate"),
-                "optimal": (make_optimal_cycle, "phi_rate"),
-                "sink": (make_sink_cycle, "gamma_rate")}
+# kind -> (maker, swept angle): model key "<angle>_rate", pulse "<angle>_total"
+_SWEPT_ANGLE = {"battery": (make_battery_cycle, "phi"),
+                "optimal": (make_optimal_cycle, "phi"),
+                "sink": (make_sink_cycle, "gamma")}
 
 
 def make_pump(spec: ModelSpec) -> PumpCycle:
     """Build the PumpCycle described by a ModelSpec."""
     p = _fill_params(spec)
-    if spec.kind in ("snowplow", *_RATE_DRIVEN):
+    if spec.kind in ("snowplow", *_SWEPT_ANGLE):
         base = TwoChannelParams(theta=p["theta"], alpha=p["alpha0"],
                                 phi=p["phi0"], gamma=p["gamma0"])
     if spec.kind == "snowplow":
@@ -588,9 +590,9 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         return make_snowplow_cycle(
             base, xi=lambda t: amp * math.sin(TWO_PI * t / period),
             period=period)
-    if spec.kind in _RATE_DRIVEN:
-        maker, key = _RATE_DRIVEN[spec.kind]
-        rate = p[key]
+    if spec.kind in _SWEPT_ANGLE:
+        maker, angle = _SWEPT_ANGLE[spec.kind]
+        rate = p[f"{angle}_rate"]
         return maker(base, lambda t: rate * t, period=TWO_PI / rate)
     if spec.kind == "uturn":
         period = p["period"]

@@ -18,9 +18,9 @@ whole grid of (t, E) nodes at once.  It samples S through
 when the delay is wanted), checks every sample for unitarity and forms
 second-order central differences; optional Richardson extrapolation
 upgrades them to fourth order.  The anti-Hermitian residue of the
-difference quotients is discarded and its worst norm returned as a
-quality metric.  `differential_data`, `curvature_identity` and all
-transport and counting currents are built on this kernel.
+difference quotients, held to a budget at each node, is discarded and
+its worst norm returned as a quality metric.  All differential data
+and all transport and counting currents are built on this kernel.
 """
 
 from __future__ import annotations
@@ -221,9 +221,23 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitize(a: np.ndarray) -> tuple[np.ndarray, float]:
-    h = 0.5 * (a + _dagger(a))
-    return h, float(np.max(np.abs(a - h), initial=0.0))
+def _hermitize(a, h, least: float, q: QuadratureSpec) -> tuple[np.ndarray, float]:
+    """Hermitian part of difference quotients with step h and the worst
+    correction; NonUnitary if a node's correction exceeds its budget
+    10 hermiticity_tol + 100 (h s)^2 s, s = max(least, its max-norm)."""
+    budget = lambda s: 10.0 * q.hermiticity_tol + 100.0 * (h * s) ** 2 * s
+    herm = 0.5 * (a + _dagger(a))
+    worst = float(np.max(np.abs(a - herm), initial=0.0))
+    if worst <= np.min(budget(least)):    # no node's budget is smaller
+        return herm, worst
+    corr = np.max(np.abs(a - herm), axis=(-2, -1))
+    bound = budget(np.maximum(least, np.max(np.abs(herm), axis=(-2, -1))))
+    over = ~(corr <= bound)    # written so that NaN fails too
+    if np.any(over):
+        raise NonUnitary(
+            f"Hermitization correction {corr[over][0]:.3e} exceeds the smooth-"
+            f"cycle budget {bound[over][0]:.1e}; steps unsuitable for this cycle")
+    return herm, worst
 
 
 def _steps(cycle: PumpCycle, energies, q: QuadratureSpec):
@@ -266,15 +280,19 @@ def stencil(cycle: PumpCycle, energies, times,
     """Energy shift (and on request the time delay) on a node grid.
 
     Steps are h_t = h_t_rel * time_scale and h_e = h_e_rel * max(E, 1).
-    Every sample must be unitary to `q.unitarity_tol`, otherwise
-    NonUnitary is raised; the Hermitization residual is returned, not
-    checked.  Matrix work is done once per distinct (unbroadcast) sample.
+    NonUnitary is raised past `q.unitarity_tol` or a node's `_hermitize`
+    budget, StencilOutOfDomain for a delay at E <= h_e.  Matrix work is
+    done once per distinct (unbroadcast) sample.
     """
     energies = np.ravel(np.asarray(energies, dtype=float))
     times = np.ravel(np.asarray(times, dtype=float))
     n_t, n_e, n = times.size, energies.size, cycle.n_channels
     shape = (n_t, n_e, n, n)
     he, ht = _steps(cycle, energies, q)
+    if delay and not np.all(energies > he):
+        k = np.argmin(energies > he)
+        raise StencilOutOfDomain(f"energy {energies[k]:.3e} within one step "
+                                 f"{he[k]:.3e} of the band bottom")
     steps_t = (ht, ht / 2) if q.richardson else (ht,)
     grid_t = np.concatenate([times] + [times + d for h in steps_t
                                        for d in (h, -h)])
@@ -283,7 +301,7 @@ def stencil(cycle: PumpCycle, energies, times,
     s0, *pm = [_distinct(s) for s in samples]
     s0h = _dagger(s0)
     ds_dt = _difference(pm, ht)
-    shift, resid = _hermitize(1j * ds_dt @ s0h)
+    shift, resid = _hermitize(1j * ds_dt @ s0h, ht, 1.0 / cycle.time_scale, q)
 
     delay_h = ds_de = None
     if delay:
@@ -294,8 +312,9 @@ def stencil(cycle: PumpCycle, energies, times,
         around = around.reshape(n_t, -1, n_e, n, n).swapaxes(0, 1)
         _check_unitary(around, q.unitarity_tol)
         pm = [_distinct(s) for s in around]
-        ds_de = _difference(pm, he[:pm[0].shape[1], None, None])
-        delay_h, resid_e = _hermitize(-1j * ds_de @ s0h)
+        he = he[:pm[0].shape[1]]
+        ds_de = _difference(pm, he[:, None, None])
+        delay_h, resid_e = _hermitize(-1j * ds_de @ s0h, he, 1.0, q)
         resid = max(resid, resid_e)
         delay_h, ds_de = (np.broadcast_to(a, shape) for a in (delay_h, ds_de))
     return Stencil(shift=np.broadcast_to(shift, shape), delay=delay_h,
@@ -305,28 +324,11 @@ def stencil(cycle: PumpCycle, energies, times,
 
 def differential_data(cycle: PumpCycle, energy: float, time: float,
                       q: QuadratureSpec = QuadratureSpec()) -> DifferentialData:
-    """Energy shift, time delay and curvature at one (E, t) point.
-
-    The five-point stencil needs E - h_e > 0; below that the band bottom
-    is in the way and StencilOutOfDomain is raised.  Both derivative
-    matrices are Hermitized; the correction norm must stay below
-    10 x hermiticity_tol plus the second-order truncation budget of the
-    stencil, otherwise the family is not behaving like a smooth unitary
-    cycle at the requested steps (a kink under the stencil, say).
-    """
+    """Energy shift, time delay and curvature at one (E, t) point; the
+    stencil's band-bottom and Hermitization checks apply."""
     he, ht = _steps(cycle, energy, q)
-    if energy <= he:
-        raise StencilOutOfDomain(
-            f"energy {energy:.3e} within one step {he:.3e} of the band bottom")
     st = stencil(cycle, energy, time, q, delay=True)
     shift, delay, resid = st.shift[0, 0], st.delay[0, 0], st.residual
-    scale = max(1.0, float(np.max(np.abs(shift))), float(np.max(np.abs(delay))))
-    h_rel = max(ht / cycle.time_scale, he / max(energy, 1.0))
-    budget = 10.0 * q.hermiticity_tol + 100.0 * h_rel ** 2 * scale ** 3
-    if resid > budget:
-        raise NonUnitary(
-            f"Hermitization correction {resid:.3e} exceeds the smooth-cycle "
-            f"budget {budget:.1e}; steps unsuitable for this cycle")
     curvature = 1j * (delay @ shift - shift @ delay)
     return DifferentialData(energy=energy, time=time, energy_shift=shift,
                             time_delay=delay, curvature=curvature,
@@ -354,15 +356,13 @@ def curvature_identity(cycle: PumpCycle, energy: float, time: float,
     regime; at very small steps rounding noise takes over).
     """
     he, ht = _steps(cycle, energy, q)
-    if energy <= 3.0 * he:
-        raise StencilOutOfDomain("nested stencil needs energy > 3 h_e")
     dd = differential_data(cycle, energy, time, q)
     commutator = dd.curvature
 
     plain = stencil(cycle, energy, time, replace(q, richardson=False),
                     delay=True)
     ds_dt, ds_de = plain.ds_dt[0, 0], plain.ds_de[0, 0]
-    mixed, _ = _hermitize(1j * (ds_dt @ _dagger(ds_de) - ds_de @ _dagger(ds_dt)))
+    mixed = 1j * (ds_dt @ _dagger(ds_de) - ds_de @ _dagger(ds_dt))
 
     shift_p, shift_m = stencil(cycle, [energy + he, energy - he], time,
                                q).shift[0]

@@ -252,6 +252,14 @@ def test_unitarity_budget_violation_exits_3(tmp_path, capsys):
     assert "invariant violated" in err and "unitarity defect" in err
 
 
+def test_kink_under_the_stencil_exits_3(tmp_path, capsys):
+    # 18 midpoint nodes put one on the bicycle's path corner at t = 1/4
+    cfg = _write(tmp_path, "bicycle.json", {"model": {"kind": "bicycle"}})
+    assert cli.main(["transport", "--config", cfg, "--grid", "18"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violated" in err and "Hermitization correction" in err
+
+
 def test_zero_temperature_direct_request_exits_4(tmp_path, capsys):
     assert cli.main(["noise", "--config", _pulse_cfg(tmp_path),
                      "--direct"]) == 4

@@ -141,6 +141,15 @@ def test_kernel_matches_differential_data(richardson):
                 assert st.residual >= dd.hermitization_residual
 
 
+def test_stencil_refuses_the_band_bottom_at_any_energy_node():
+    # the delay at 5e-6 would need S at E - h_e = -5e-6; the shift alone
+    # takes no energy step, so it is refused only with the delay
+    cycle = qp.make_random_analytic_cycle(2, np.random.default_rng(3))
+    with pytest.raises(qp.StencilOutOfDomain, match="5.000e-06 within"):
+        stencil(cycle, [1.0, 5e-6], TIMES, Q, delay=True)
+    assert stencil(cycle, [1.0, 5e-6], TIMES, Q).delay is None
+
+
 @pytest.mark.parametrize("temperature", [0.0, 0.05])
 def test_non_unitary_stencil_samples_are_caught(temperature):
     # unitary exactly at t0, scaled by 1.001 everywhere else: the centre

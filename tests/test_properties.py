@@ -95,6 +95,43 @@ def test_total_charge_is_minus_det_winding(seed, n, flat, turns, mu):
     assert abs(total + winding) < 1e-6
 
 
+def _slowed(cycle: qp.PumpCycle, factor: float) -> qp.PumpCycle:
+    """S(E, t / factor) over the period factor * period: the same cycle
+    run `factor` times slower."""
+    def evaluate_grid(energies, times):
+        return cycle.sample_grid(energies, np.asarray(times) / factor)
+
+    return qp.PumpCycle(cycle.n_channels, point_evaluator(evaluate_grid),
+                        period=factor * cycle.period,
+                        label=cycle.label + "+slowed",
+                        evaluate_grid=evaluate_grid)
+
+
+@SETTINGS
+@given(cycles, st.floats(0.3, 3.0),
+       st.floats(math.log(0.05), math.log(200.0)).map(math.exp))
+def test_charge_does_not_change_when_the_cycle_is_slowed(cycle, mu, factor):
+    # the stencil's budget is stated in absolute steps, so no time scale
+    # makes a smooth cycle look kinked
+    for temperature in (0.0, 0.2):
+        state = qp.ThermalState(mu=mu, temperature=temperature)
+        base = qp.cycle_charge(cycle, state, COARSE)
+        slow = qp.cycle_charge(_slowed(cycle, factor), state, COARSE)
+        assert np.max(np.abs(slow - base)) < 1e-9
+
+
+def test_long_battery_pulse_pumps_its_charge():
+    # 40 turns of the battery phase over a 120-long window pump
+    # 40 sin^2 theta; the budget must not mistake the fast sweep for a kink
+    total = 40 * TWO_PI
+    pulse = qp.make_battery_cycle(
+        qp.TwoChannelParams(theta=0.7),
+        lambda t: total * qp.smooth_step(t, 0.0, 120.0), window=(0.0, 120.0))
+    charge = qp.cycle_charge(pulse, qp.ThermalState(mu=1.0), Q)
+    want = 40 * math.sin(0.7) ** 2
+    assert np.max(np.abs(charge - [want, -want])) < 1e-4
+
+
 @SETTINGS
 @given(seeds, st.integers(1, 4))
 def test_patch_flux_telescopes(seed, dim):

@@ -141,6 +141,19 @@ def _identity(e, t):
                  id="n_channels-2.5"),
     pytest.param(lambda: qp.PumpCycle(True, _identity, period=1.0),
                  id="n_channels-bool"),
+    *(pytest.param(lambda f=f, v=v: qp.PlowSpec(**{f: v}), id=f"plow-{f}-{v}")
+      for f in ("height", "speed", "travel_time") for v in (math.nan, math.inf)),
+    *(pytest.param(lambda f=f, v=v: qp.BicycleGeometry(**{f: v}),
+                   id=f"bicycle-{f}-{v}")
+      for f in ("length", "barrier", "delta") for v in (math.nan, math.inf)),
+    pytest.param(lambda: qp.classical_scatter(qp.PlowSpec(), math.nan, 0.0, 0),
+                 id="scatter-energy-nan"),
+    pytest.param(lambda: qp.classical_scatter(qp.PlowSpec(), math.inf, 0.0, 0),
+                 id="scatter-energy-inf"),
+    pytest.param(lambda: qp.classical_scatter(qp.PlowSpec(), 0.5, math.nan, 1),
+                 id="scatter-time-nan"),
+    pytest.param(lambda: qp.plow_charge_bpt(qp.PlowSpec(), math.nan, 64),
+                 id="plow-mu-nan"),
 ])
 def test_non_finite_or_fractional_inputs_are_refused(make):
     # each would give a wrong or NaN answer if accepted (n_time = 16.5
@@ -214,6 +227,17 @@ def test_hermitization_budget_rejects_path_corners():
     # on a straight leg the residual is 3.6e-9
     d = qp.differential_data(cyc, 1.0, 0.3, Q)
     assert d.hermitization_residual < 1e-7
+
+
+@pytest.mark.parametrize("n_time", [18, 66])
+def test_charge_over_a_path_corner_raises(n_time):
+    # both grids put a midpoint node on the corner at t = 1/4; the two
+    # leads' charges used to come out unbalanced, with no error.  At 66
+    # nodes the kink fits a budget scaled by the largest shift on the
+    # grid, but not its own node's budget.
+    state = qp.ThermalState(mu=1.0)
+    with pytest.raises(qp.NonUnitary, match="Hermitization correction"):
+        qp.cycle_charge(qp.make_bicycle_cycle(), state, replace(Q, n_time=n_time))
 
 
 def test_hermitization_budget_scales_with_step():
