@@ -18,12 +18,11 @@ the inverse map for free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import MaxEventsExceeded, RegionTouchesDiscontinuity
 from .quadrature import TWO_PI, midpoint_grid
@@ -206,6 +205,19 @@ def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
 # ---------------------------------------------------------------------------
 # pumped charge at zero temperature, two ways
 
+@functools.cache
+def _scipy_brentq():
+    # loaded on first use, since scipy would be most of `import qpump`;
+    # cached, since an import statement per root costs more than a call
+    from scipy.optimize import brentq as solver
+    return solver
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """scipy.optimize.brentq, loaded on the first call."""
+    return _scipy_brentq()(f, a, b, xtol=xtol)
+
+
 def classical_energy_shift(spec: PlowSpec, energy_out: float, time_out: float,
                            channel_out: int) -> float:
     """Energy gained through the plow by the state exiting at the argument."""
@@ -316,8 +328,11 @@ def classical_battery_shift(delta_phi: float, energy: float,
     is the identity map on asymptotic states.  Both statements are
     verified with a high-order integrator.
     """
+    if not all(map(math.isfinite, (delta_phi, energy, start_time))):
+        raise ValueError("need finite delta_phi, energy and start_time")
     if energy <= max(delta_phi, 0.0):
         raise ValueError("particle too slow to cross the potential drop")
+    from scipy.integrate import solve_ivp
 
     def slope(x: float) -> float:
         return delta_phi * _step_slope((x + 1.0) / 2.0) / 2.0

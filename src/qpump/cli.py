@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -481,7 +482,9 @@ def _add_common(p: argparse.ArgumentParser, *flags: str,
         p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args makes a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="qpump",
         description="adiabatic pump transport from frozen scattering matrices")

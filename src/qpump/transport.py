@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ZeroTemperature
 from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
@@ -80,7 +79,9 @@ def fermi_weight(energy, state: ThermalState):
     e = np.asarray(energy, dtype=float)
     if state.temperature == 0.0:
         return np.where(e < state.mu, 1.0, np.where(e > state.mu, 0.0, 0.5))
-    return expit(-(e - state.mu) * state.beta)
+    # scipy's expit(-x) formula; exp overflows to inf, and 1 / inf is 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp((e - state.mu) * state.beta))
 
 
 def fermi_derivative(energy, state: ThermalState):

@@ -166,3 +166,22 @@ def test_battery_crossing_shift():
             res = qp.classical_battery_shift(dphi, 2.0, start_time=start)
             assert res.shift_residual < 1e-8
             assert res.frozen_speed_change < 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"delta_phi": math.nan}, id="delta_phi-nan"),
+    pytest.param({"energy": math.nan}, id="energy-nan"),
+    pytest.param({"start_time": math.nan}, id="start_time-nan"),
+    pytest.param({"delta_phi": math.inf}, id="delta_phi-inf"),
+    pytest.param({"energy": math.inf}, id="energy-inf"),
+    pytest.param({"start_time": -math.inf}, id="start_time-minus-inf"),
+])
+def test_battery_shift_refuses_non_finite_input(monkeypatch, kwargs):
+    # a NaN drop used to slip past the energy guard and run the
+    # integrator on a NaN field without end; now nothing is integrated
+    def no_integration(*args, **options):
+        raise AssertionError("the integrator ran")
+    monkeypatch.setattr("scipy.integrate.solve_ivp", no_integration)
+    args = {"delta_phi": 0.1, "energy": 2.0, "start_time": 0.0, **kwargs}
+    with pytest.raises(ValueError, match="finite"):
+        qp.classical_battery_shift(**args)

@@ -13,6 +13,7 @@ import pytest
 
 from qpump import cli
 from qpump.models import MODEL_KINDS
+from qpump.quadrature import QuadratureSpec
 
 
 def _write(tmp_path, name: str, cfg: dict) -> str:
@@ -313,3 +314,72 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in stderr
     assert "BrokenPipeError" not in stderr
+
+
+IMPORT_PROBE = """
+import json, sys
+import qpump, qpump.cli
+from qpump import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(scipy_modules()))
+qpump.plow_charge_direct(qpump.PlowSpec(), 0.3, n_time=4)
+print(json.dumps(scipy_modules()))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy takes most of a fresh interpreter's start-up; only the
+    # classical plow's direct charge and battery shift load it
+    battery = _write(tmp_path, "warm.json",
+                     {"model": {"kind": "battery"},
+                      "state": {"mu": 1.0, "temperature": 0.1}})
+    runs = [["transport", "--config", battery, "--grid", "16",
+             "--out", str(tmp_path / "transport.json")],
+            ["noise", "--config", _pulse_cfg(tmp_path), "--zero-t",
+             "--out", str(tmp_path / "noise.json")]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(json.loads, proc.stdout.splitlines())
+    assert before == []
+    assert "scipy.optimize" in after
+
+
+def _run_cli(argv: list, out: Path) -> bytes:
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    pulse = _write(tmp_path, "pulse.json",
+                   {"pulse": {"kind": "battery", "theta": 0.7,
+                              "window": [0.0, 10.0]},
+                    "state": {"mu": 1.0, "temperature": 12.0}})
+    battery = _battery_cfg(tmp_path)
+    # each call sets a flag the next one leaves at its default
+    calls = [["noise", "--config", pulse, "--zero-t"],
+             ["noise", "--config", pulse, "--direct"],
+             ["transport", "--config", battery, "--grid", "16"],
+             ["transport", "--config", battery]]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_run_cli(argv, tmp_path / f"cached{i}.json")
+              for i, argv in enumerate(calls)]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run_cli(argv, tmp_path / f"fresh{i}.json")
+             for i, argv in enumerate(calls)]
+    assert cached == fresh
+    noise_zero_t, noise_direct, coarse, default = map(json.loads, cached)
+    assert noise_zero_t["summary"]["temperature"] == 0.0
+    assert "direct_second_cumulant" not in noise_zero_t["summary"]
+    assert noise_direct["summary"]["temperature"] == 12.0
+    assert "direct_second_cumulant" in noise_direct["summary"]
+    assert len(coarse["series"]["time"]) == 16
+    assert len(default["series"]["time"]) == QuadratureSpec().n_time

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,19 @@ def test_fermi_weight_limits():
     assert abs(qp.fermi_weight(1.5, warm) - expit(-2.0)) < 1e-14
     with pytest.raises(qp.ZeroTemperature):
         qp.fermi_derivative(1.0, cold)
+
+
+def test_fermi_weight_matches_expit_where_exp_overflows():
+    # (E - mu) beta spans [-800, 800]; exp overflows past 709.8
+    warm = qp.ThermalState(mu=1.0, temperature=0.25)
+    energies = np.linspace(-199.0, 201.0, 400_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qp.fermi_weight(energies, warm)
+    want = expit(-(energies - warm.mu) * warm.beta)
+    assert np.max(np.abs(got - want)) <= 2.3e-16
+    assert got[0] == 1.0 and got[-1] == 0.0
+    assert qp.fermi_weight(warm.mu, warm) == 0.5
 
 
 def test_snowplow_current_closed_form():

@@ -10,6 +10,16 @@ so two trees compare with `diff -r`:
     python3 tools/cli_outputs.py /tmp/after     # in the other
     diff -r /tmp/before /tmp/after
 
+A change that moves answers in the last digits compares numerically:
+
+    python3 tools/cli_outputs.py --compare /tmp/before /tmp/after
+
+lists each differing file with the worst relative difference of its
+differing floats, |a - b| / max(|a|, |b|, 1e-300), and the line where it
+sits.  It exits 1 when a file is missing on one side, a file's lines or
+tokens do not pair up, any token other than a float differs, or a float
+differs by more than 1e-14 relative.
+
 The package and the workloads are imported from the tree this file sits
 in, so a checkout older than this file can run a copy of it placed in
 its own `tools/`.
@@ -20,6 +30,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -27,12 +39,87 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 FORMATS = ("json", "csv")
+# largest relative difference of a float that --compare accepts
+FLOAT_RTOL = 1e-14
+# splits JSON, CSV and selfcheck text into value tokens
+SEPARATORS = re.compile(r"""[\s,:=\[\]{}()"]+""")
+INTEGER = re.compile(r"[-+]?\d+")
+
+
+def _float(token: str) -> float | None:
+    """The value of a float token; None for integers and non-numbers."""
+    if INTEGER.fullmatch(token):
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def compare_file(before: Path, after: Path) -> tuple[float, int] | str:
+    """(worst relative float difference, its line), or what does not pair."""
+    old, new = (p.read_text().splitlines() for p in (before, after))
+    if len(old) != len(new):
+        return f"{len(old)} lines against {len(new)}"
+    worst = (0.0, 0)
+    for number, (a, b) in enumerate(zip(old, new), start=1):
+        if a == b:
+            continue
+        ta, tb = SEPARATORS.split(a), SEPARATORS.split(b)
+        if len(ta) != len(tb):
+            return f"line {number}: tokens do not pair up"
+        for x, y in zip(ta, tb):
+            if x == y:
+                continue
+            fx, fy = _float(x), _float(y)
+            if fx is None or fy is None:
+                return f"line {number}: {x!r} against {y!r}"
+            worst = max(worst, (_relative(fx, fy), number))
+    return worst
+
+
+def compare(before: Path, after: Path) -> int:
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (before, after)
+                    for p in root.rglob("*") if p.is_file()})
+    failed, differing = False, 0
+    for name in names:
+        a, b = before / name, after / name
+        if not (a.is_file() and b.is_file()):
+            result = f"only in {before if a.is_file() else after}"
+        elif a.read_bytes() == b.read_bytes():
+            continue
+        else:
+            result = compare_file(a, b)
+        differing += 1
+        if isinstance(result, str):
+            failed = True
+            print(f"{name}: structure differs: {result}")
+        else:
+            rel, line = result
+            failed |= rel > FLOAT_RTOL
+            print(f"{name}: worst relative difference {rel:.3g} "
+                  f"(line {line})")
+    print(f"{differing} of {len(names)} files differ; "
+          f"{'FAIL' if failed else 'ok'} at relative {FLOAT_RTOL:g}")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(Path(args[1]), Path(args[2]))
     if len(args) != 1:
-        print("usage: cli_outputs.py DEST", file=sys.stderr)
+        print("usage: cli_outputs.py DEST\n"
+              "       cli_outputs.py --compare BEFORE AFTER", file=sys.stderr)
         return 2
     dest = Path(args[0])
     dest.mkdir(parents=True, exist_ok=True)
