@@ -24,8 +24,9 @@ import numpy as np
 from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
 from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
-from .smatrix import PumpCycle
-from .transport import NOISE_NORM, ThermalState, _offdiag, cycle_charge
+from .smatrix import PumpCycle, stencil
+from .transport import (NOISE_NORM, ThermalState, _offdiag, _row_weights,
+                        cycle_charge)
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
 SETTLE_TOL = 1e-6
@@ -79,9 +80,9 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     pulse cumulants.
     """
     _check_channel(cycle, channel)
+    _window(cycle)
     if state.temperature == 0.0:
         return 0.0
-    _window(cycle)
     times, dt = cycle.time_grid(q.n_time)
     diag = row_states(cycle, channel, state.mu, times)[:, channel]
     total = sum(1.0 - np.abs(diag) ** 2)
@@ -125,44 +126,41 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
 
     The kernel is smooth (the numerator vanishes to second order on the
     diagonal, where the limit is the off-diagonal row weight of the
-    energy shift); pairs closer than eps_diag_rel of the window use the
-    limit instead of the ratio.  Outside the window the matrix is
-    constant, so the tails reduce to single integrals and the corner
-    region drops out exactly; convergence requires the pulse to settle
-    to one constant, which is checked.
+    energy shift); pairs closer than eps_diag_rel of the window take the
+    mean of the limits at their two nodes.  Outside the window the
+    matrix is constant, so the tails reduce to single integrals and the
+    corner region drops out exactly; convergence requires the pulse to
+    settle to one constant, which is checked.
     """
+    _check_channel(cycle, channel)
     _check_pulse(cycle, mu)
     t0, t1 = _window(cycle)
-    span = t1 - t0
     times, weights = _simpson(t0, t1, q.n_shot_time)
-    n = times.size
 
-    rows = row_states(cycle, channel, mu, times)
+    # one stencil at the nodes gives the rows and the near-band limits
+    st = stencil(cycle, mu, times, q)
+    rows = np.array(st.samples[0][:, 0, channel])
+    off = np.array(_row_weights(st.shift)[2][:, 0, channel])
+    del st    # frees the samples before the N x N work
     gram = rows @ rows.conj().T
     bmat = 1.0 - np.abs(gram) ** 2
     np.clip(bmat, 0.0, None, out=bmat)
 
     dt_matrix = times[:, None] - times[None, :]
-    eps = q.eps_diag_rel * span
-    far = np.abs(dt_matrix) >= eps
+    far = np.abs(dt_matrix) >= q.eps_diag_rel * (t1 - t0)
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.where(far, bmat / dt_matrix ** 2, 0.0)
-    near = ~far
-    if np.any(near):
-        ii, jj = np.nonzero(near)
-        mids, where = np.unique(0.5 * (times[ii] + times[jj]),
-                                return_inverse=True)
-        kernel[ii, jj] = _offdiag(cycle, mu, mids, q)[where, channel]
+    ii, jj = np.nonzero(~far)
+    kernel[ii, jj] = 0.5 * (off[ii] + off[jj])
 
     interior = float(weights @ kernel @ weights)
 
     # tails: for t beyond an edge the matrix is the settled constant, so
-    # integrating the inverse-square kernel in t leaves 1/(t' - edge).
-    b_edge_left = bmat[0]    # B(t0, t') as a function of t'
-    b_edge_right = bmat[-1]
+    # integrating the inverse-square kernel in t leaves B(edge, t') over
+    # |t' - edge|; bmat[0] is B(t0, t') and bmat[-1] is B(t1, t').
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(times > t0, b_edge_left / (times - t0), 0.0)
-        right = np.where(times < t1, b_edge_right / (t1 - times), 0.0)
+        left = np.where(times > t0, bmat[0] / (times - t0), 0.0)
+        right = np.where(times < t1, bmat[-1] / (t1 - times), 0.0)
     tails = float(weights @ left) + float(weights @ right)
 
     return (interior + 2.0 * tails) / (4.0 * math.pi ** 2)
@@ -192,10 +190,12 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     times, dt = cycle.time_grid(q.n_time)
     x, wx = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
     s = x / pi_t
-    pairs = np.concatenate([(times[:, None] - 0.5 * s).ravel(),
-                            (times[:, None] + 0.5 * s).ravel()])
-    rows = row_states(cycle, channel, mu, pairs)
-    before, after = rows.reshape(2, times.size, x.size, -1)
+    # the rule on [-R, R] is mirrored bit for bit (leggauss symmetrizes
+    # its nodes and the centre is 0.0), so t - s_k / 2 is t + s_(n-1-k) / 2
+    # and the rows at t - s / 2 are those at t + s / 2 read backwards
+    pairs = times[:, None] + 0.5 * s
+    after = row_states(cycle, channel, mu, pairs).reshape(*pairs.shape, -1)
+    before = after[:, ::-1]
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
     inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
@@ -222,11 +222,10 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                  include_direct: bool = False) -> NoiseReport:
     """Mean and variance of the pumped charge through one pulse."""
     _check_channel(cycle, channel)
+    if state.temperature == 0.0 and include_direct:
+        raise ZeroTemperature("direct second cumulant needs temperature > 0")
     mean = mean_transferred_charge(cycle, state, q)[channel]
     if state.temperature == 0.0:
-        if include_direct:
-            raise ZeroTemperature(
-                "direct second cumulant needs temperature > 0")
         shot = shot_noise_zero_t(cycle, channel, state.mu, q)
         return NoiseReport(channel=channel, temperature=0.0, mean=float(mean),
                            thermal=0.0, shot=shot, total=shot)

@@ -174,6 +174,8 @@ def test_cumulants_reject_cycles_without_a_window():
     with pytest.raises(ValueError):
         qp.thermal_noise(periodic, 0, qp.ThermalState(mu=1.0, temperature=2.0))
     with pytest.raises(ValueError):
+        qp.thermal_noise(periodic, 0, cold)
+    with pytest.raises(ValueError):
         qp.mean_transferred_charge(periodic, cold)
 
 
@@ -209,6 +211,11 @@ def test_finite_t_paths_demand_a_temperature():
         qp.second_cumulant_direct(cyc, 0, cold)
     with pytest.raises(qp.ZeroTemperature):
         qp.noise_report(cyc, 0, cold, include_direct=True)
+    # refused before any work: a cycle without a window would fail later
+    periodic = qp.make_battery_cycle(qp.TwoChannelParams(theta=THETA),
+                                     phi=lambda t: TWO_PI * t, period=1.0)
+    with pytest.raises(qp.ZeroTemperature):
+        qp.noise_report(periodic, 0, cold, include_direct=True)
 
 
 WARM = qp.ThermalState(mu=1.0, temperature=2.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qpump.counting import KERNEL_NODES
+from qpump.counting import KERNEL_NODES, KERNEL_REACH
 from qpump.quadrature import _legendre_rule, gauss_legendre
 
 
@@ -27,3 +27,10 @@ def test_returned_arrays_are_fresh_and_the_cache_read_only():
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+def test_direct_kernel_rule_is_mirrored_bitwise():
+    # second_cumulant_direct reads the rows at t - s / 2 as those at
+    # t + s / 2 in reverse order, which needs exact mirror symmetry
+    x, w = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])

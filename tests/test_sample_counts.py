@@ -1,0 +1,65 @@
+"""S matrices each CLI command asks of its cycle, as upper bounds.
+
+Counts are deterministic, so they pin a cost that wall time on a busy
+host cannot resolve.  Every `PumpCycle.sample_grid` call is counted as
+N x M matrices for N times and M energies; the distinct count takes one
+energy per time when the returned energy axis has stride 0, as for the
+energy-independent models whose S the stencil differences once per time.
+A change that lowers a count lowers its bound here too.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from qpump import cli
+from qpump.smatrix import PumpCycle
+
+BATTERY = {"kind": "battery", "params": {"theta": 0.9}}
+BICYCLE = {"kind": "bicycle"}
+PULSE = {"kind": "battery", "theta": 0.7, "window": [0.0, 10.0]}
+
+# (command, config, flags, matrices, distinct or None)
+CASES = {
+    "transport-battery-warm": (
+        "transport", {"model": BATTERY, "state": {"mu": 1.0,
+                                                  "temperature": 0.1}},
+        ["--grid", "64"], 15_040, 232),
+    "transport-bicycle-cold": (
+        "transport", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
+        1_576, None),
+    "geometry-bicycle": (
+        "geometry", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
+        3_072, None),
+    "noise-zero-t": (
+        "noise", {"pulse": PULSE, "state": {"mu": 1.0}},
+        ["--grid", "64", "--zero-t"], 3_271, None),
+    "noise-direct": (
+        "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
+        ["--grid", "64", "--direct"], 16_708, 4_612),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sample_count_stays_within_its_bound(case, tmp_path, monkeypatch):
+    command, config, flags, most, most_distinct = CASES[case]
+    counts = {"matrices": 0, "distinct": 0}
+    sample_grid = PumpCycle.sample_grid
+
+    def counted(self, energies, times):
+        s = sample_grid(self, energies, times)
+        n_t, n_e = s.shape[:2]
+        counts["matrices"] += n_t * n_e
+        counts["distinct"] += n_t * (1 if s.strides[1] == 0 else n_e)
+        return s
+
+    monkeypatch.setattr(PumpCycle, "sample_grid", counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", str(path), "--out", str(out),
+                     *flags]) == 0
+    assert 0 < counts["matrices"] <= most
+    if most_distinct is not None:
+        assert counts["distinct"] <= most_distinct
