@@ -24,6 +24,7 @@ hit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -52,13 +53,15 @@ from .transport import (ThermalState, birman_krein_residual, bpt_current,
 # configuration loading
 
 _TOP_KEYS = {"model", "state", "quadrature", "classical", "pulse"}
-_STATE_KEYS = {"mu", "temperature"}
-_CLASSICAL_KEYS = {"height", "speed", "travel_time"}
-# pulse kind -> keys it takes besides "kind" and "window"
-_PULSE_KEYS = {"random": {"amplitude", "n_channels", "seed"},
-               **{kind: {"theta", f"{angle}_total"}
-                  for kind, (_, angle) in models._SWEPT_ANGLE.items()}}
-_QUAD_KEYS = {f.name for f in dataclasses.fields(QuadratureSpec)}
+# section -> {key: the type its value is read as}
+_STATE_KINDS = {"mu": float, "temperature": float}
+_QUAD_KINDS, _PLOW_KINDS = ({f.name: type(f.default)
+                             for f in dataclasses.fields(spec)}
+                            for spec in (QuadratureSpec, PlowSpec))
+# pulse kind -> the keys it takes besides "kind" and "window"
+_PULSE_KINDS = {"random": {"amplitude": float, "n_channels": int, "seed": int},
+                **{kind: {"theta": float, f"{angle}_total": float}
+                   for kind, (_, angle) in models._SWEPT_ANGLE.items()}}
 
 
 def _require(cond: bool, message: str, path: str):
@@ -66,26 +69,41 @@ def _require(cond: bool, message: str, path: str):
         raise SchemaError(message, path)
 
 
-def _check_keys(section: dict, allowed: set, path: str):
+def _check_keys(section: dict, allowed, path: str):
     _require(isinstance(section, dict), "expected an object", path)
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(section.keys() - allowed)
     _require(not unknown, f"unknown keys {unknown}", path)
 
 
-def _number(section: dict, key: str, path: str, default=None):
-    if key not in section:
-        _require(default is not None, f"missing required key {key!r}", path)
-        return default
-    value = section[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             "expected a number", f"{path}.{key}")
-    return float(value)
+def _read(section: dict, path: str, kinds: dict, **defaults) -> dict:
+    """The defaults updated with the section's values, each read as the
+    float, int or bool its kind gives; an int may be written as 32.0."""
+    _check_keys(section, kinds, path)
+    values = dict(defaults)
+    for key, value in section.items():
+        kind, where = kinds[key], f"{path}.{key}"
+        if kind is bool:
+            _require(isinstance(value, bool), "expected true/false", where)
+        else:
+            _require(type(value) in (int, float), "expected a number", where)
+            _require(kind is float or float(value).is_integer(),
+                     "expected an integer", where)
+        values[key] = kind(value)
+    return values
 
 
-def _integer(section: dict, key: str, path: str, default=None) -> int:
-    value = _number(section, key, path, default)
-    _require(float(value).is_integer(), "expected an integer", f"{path}.{key}")
-    return int(value)
+def _make(make, path: str, values: dict):
+    """make(**values), with a library ValueError reported at path."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path)
+
+
+def _flags(args, **fields) -> dict:
+    """{field: value} of each given flag (an args attribute) that is set."""
+    return {field: getattr(args, flag) for flag, field in fields.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _count_flag(value: int, flag: str) -> int:
@@ -104,11 +122,15 @@ def load_config(path: str) -> dict:
         return parse
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=finite(float),
                             parse_float=finite(float), parse_int=finite(int))
     except FileNotFoundError:
         raise SchemaError("file not found", path)
+    except OSError as exc:
+        raise SchemaError(f"cannot read ({exc.strerror})", path)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text ({exc.reason})", path)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON ({exc})", path)
     _check_keys(cfg, _TOP_KEYS, "<top level>")
@@ -116,39 +138,15 @@ def load_config(path: str) -> dict:
 
 
 def build_state(cfg: dict, args) -> ThermalState:
-    section = cfg.get("state", {})
-    _check_keys(section, _STATE_KEYS, "state")
-    mu = _number(section, "mu", "state", default=1.0)
-    temp = _number(section, "temperature", "state", default=0.0)
-    if getattr(args, "mu", None) is not None:
-        mu = args.mu
-    if getattr(args, "temperature", None) is not None:
-        temp = args.temperature
-    try:
-        return ThermalState(mu=mu, temperature=temp)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "state")
+    values = _read(cfg.get("state", {}), "state", _STATE_KINDS, mu=1.0)
+    values.update(_flags(args, mu="mu", temperature="temperature"))
+    return _make(ThermalState, "state", values)
 
 
 def build_quadrature(cfg: dict, args) -> QuadratureSpec:
-    section = cfg.get("quadrature", {})
-    _check_keys(section, _QUAD_KEYS, "quadrature")
-    fields = {}
-    for key, value in section.items():
-        if key == "richardson":
-            _require(isinstance(value, bool), "expected true/false",
-                     f"quadrature.{key}")
-            fields[key] = value
-        elif key.startswith("n_"):
-            fields[key] = _integer(section, key, "quadrature")
-        else:
-            fields[key] = _number(section, key, "quadrature")
-    if getattr(args, "grid", None) is not None:
-        fields["n_time"] = args.grid
-    try:
-        return QuadratureSpec(**fields)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "quadrature")
+    values = _read(cfg.get("quadrature", {}), "quadrature", _QUAD_KINDS)
+    values.update(_flags(args, grid="n_time"))
+    return _make(QuadratureSpec, "quadrature", values)
 
 
 def build_model(cfg: dict) -> PumpCycle:
@@ -160,23 +158,13 @@ def build_model(cfg: dict) -> PumpCycle:
              f"kind must be one of {sorted(MODEL_KINDS)}", "model.kind")
     params = section.get("params", {})
     _require(isinstance(params, dict), "expected an object", "model.params")
-    try:
-        return make_pump(ModelSpec(kind=kind, params=params))
-    except ValueError as exc:
-        raise SchemaError(str(exc), "model.params")
+    return _make(make_pump, "model.params",
+                 {"spec": ModelSpec(kind=kind, params=params)})
 
 
 def build_plow(cfg: dict) -> PlowSpec:
-    section = cfg.get("classical", {})
-    _check_keys(section, _CLASSICAL_KEYS, "classical")
-    try:
-        return PlowSpec(
-            height=_number(section, "height", "classical", default=1.0),
-            speed=_number(section, "speed", "classical", default=0.02),
-            travel_time=_number(section, "travel_time", "classical",
-                                default=10.0))
-    except ValueError as exc:
-        raise SchemaError(str(exc), "classical")
+    values = _read(cfg.get("classical", {}), "classical", _PLOW_KINDS)
+    return _make(PlowSpec, "classical", values)
 
 
 def build_pulse(cfg: dict, seed: int) -> PumpCycle:
@@ -184,34 +172,32 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
     section = cfg["pulse"]
     _require(isinstance(section, dict), "expected an object", "pulse")
     kind = section.get("kind")
-    _require(isinstance(kind, str) and kind in _PULSE_KEYS,
-             f"kind must be one of {sorted(_PULSE_KEYS)}", "pulse.kind")
-    _check_keys(section, {"kind", "window"} | _PULSE_KEYS[kind], "pulse")
+    _require(isinstance(kind, str) and kind in _PULSE_KINDS,
+             f"kind must be one of {sorted(_PULSE_KINDS)}", "pulse.kind")
     window = section.get("window", [0.0, 20.0])
     _require(isinstance(window, list) and len(window) == 2
-             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     for v in window)
+             and all(type(v) in (int, float) for v in window)
              and window[0] < window[1],
              "expected [start, end] with start < end", "pulse.window")
     t0, t1 = float(window[0]), float(window[1])
 
+    params = {k: v for k, v in section.items() if k not in ("kind", "window")}
     if kind == "random":
-        n_ch = _integer(section, "n_channels", "pulse", default=2)
-        _require(n_ch >= 1, "need at least one channel", "pulse.n_channels")
-        amp = _number(section, "amplitude", "pulse", default=0.5)
-        pulse_seed = _integer(section, "seed", "pulse", default=seed)
-        _require(pulse_seed >= 0, "expected a non-negative integer",
+        p = _read(params, "pulse", _PULSE_KINDS[kind], n_channels=2,
+                  amplitude=0.5, seed=seed)
+        _require(p["n_channels"] >= 1, "need at least one channel",
+                 "pulse.n_channels")
+        _require(p["seed"] >= 0, "expected a non-negative integer",
                  "pulse.seed")
-        return models.make_pulse_cycle(n_ch, np.random.default_rng(pulse_seed),
-                                       window=(t0, t1), amplitude=amp)
+        return models.make_pulse_cycle(
+            p["n_channels"], np.random.default_rng(p["seed"]),
+            window=(t0, t1), amplitude=p["amplitude"])
 
-    theta = _number(section, "theta", "pulse", default=0.9)
-    try:
-        base = TwoChannelParams(theta=theta)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "pulse.theta")
     maker, angle = models._SWEPT_ANGLE[kind]
-    total = _number(section, f"{angle}_total", "pulse", default=TWO_PI)
+    p = _read(params, "pulse", _PULSE_KINDS[kind], theta=0.9,
+              **{f"{angle}_total": TWO_PI})
+    base = _make(TwoChannelParams, "pulse.theta", {"theta": p["theta"]})
+    total = p[f"{angle}_total"]
     return maker(base, lambda t: total * models.smooth_step(t, t0, t1),
                  window=(t0, t1))
 
@@ -219,29 +205,33 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
 # ---------------------------------------------------------------------------
 # output
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """Standard output for --out '-', else the file, closed on leaving."""
     if args.out in (None, "-"):
-        return sys.stdout, False
-    return open(args.out, "w"), True
+        yield sys.stdout
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise SchemaError(f"cannot write ({exc.strerror})", "--out")
+    with fh:
+        yield fh
 
 
 def write_json(payload: dict, args):
-    fh, owned = _open_out(args)
-    json.dump(payload, fh, sort_keys=True, indent=2)
-    fh.write("\n")
-    if owned:
-        fh.close()
+    with _output(args) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def write_csv(meta: dict, header: list, rows, args):
-    fh, owned = _open_out(args)
-    for key in sorted(meta):
-        fh.write(f"# {key} = {_fmt(meta[key])}\n")
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
-    if owned:
-        fh.close()
+    with _output(args) as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key} = {_fmt(meta[key])}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(value) -> str:

@@ -77,5 +77,6 @@ def midpoint_grid(t0: float, t1: float, n: int) -> tuple[np.ndarray, float]:
     accuracy as trapezoid) but no node lands on t0 or t1, which keeps
     difference stencils away from non-smooth cycle corners.
     """
+    require_count("n", n, 1)
     dt = (t1 - t0) / n
     return t0 + dt * (np.arange(n) + 0.5), dt

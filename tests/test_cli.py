@@ -139,6 +139,70 @@ def test_config_file_problems_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    assert cli.main(["transport", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration error: {tmp_path}: cannot read (Is a directory)\n"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"model": {"kind": "café"}}'.encode("latin-1"))
+    assert cli.main(["transport", "--config", str(latin1)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {latin1}: not UTF-8 text (invalid "
+        "continuation byte)\n")
+
+
+def test_unopenable_out_exits_2(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["models-list", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: --out: "
+                                       "cannot write (")
+
+
+# one refused configuration per refusal kind, and one library refusal per
+# section, with the exact line it prints
+@pytest.mark.parametrize("command, cfg, line", [
+    pytest.param("transport", {"state": {"mux": 1.0}},
+                 "state: unknown keys ['mux']", id="unknown-key"),
+    pytest.param("classical", {"classical": {"height": "1"}},
+                 "classical.height: expected a number", id="not-a-number"),
+    pytest.param("noise", {"pulse": {"kind": "random", "n_channels": 2.5}},
+                 "pulse.n_channels: expected an integer",
+                 id="not-an-integer"),
+    pytest.param("transport", {"quadrature": {"richardson": 1}},
+                 "quadrature.richardson: expected true/false",
+                 id="not-a-bool"),
+    pytest.param("transport", {"state": {"mu": -1.0}},
+                 "state: chemical potential must be positive and finite",
+                 id="state"),
+    pytest.param("transport", {"quadrature": {"n_energy": 8}},
+                 "quadrature: n_energy must be an integer >= 16",
+                 id="quadrature"),
+    pytest.param("transport", {"model": {"kind": "bicycle",
+                                         "params": {"length": 0}}},
+                 "model.params: bicycle.length must be >= 1e-06",
+                 id="model"),
+    pytest.param("classical", {"classical": {"speed": -1}},
+                 "classical: need finite height > 0, speed >= 0, "
+                 "travel_time > 0", id="classical"),
+    pytest.param("noise", {"pulse": {"kind": "sink", "theta": 2.0}},
+                 "pulse.theta: theta must lie in [0, pi/2]", id="pulse"),
+])
+def test_refusal_lines_are_pinned(tmp_path, capsys, command, cfg, line):
+    path = _write(tmp_path, "cfg.json", {"model": {"kind": "battery"}, **cfg})
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"configuration error: {line}\n"
+
+
+def test_quadrature_keys_are_read_as_their_field_types():
+    args = cli.build_parser().parse_args(["transport", "--config", "-"])
+    cfg = {"quadrature": {"richardson": True, "n_energy": 32.0}}
+    q = cli.build_quadrature(cfg, args)
+    assert q == QuadratureSpec(richardson=True, n_energy=32)
+    assert type(q.n_energy) is int
+
+
 @pytest.mark.parametrize("key", ["omega_identity_tol", "stokes_tol",
                                  "numeric_tol", "max_events"])
 def test_removed_quadrature_keys_are_unknown(tmp_path, capsys, key):

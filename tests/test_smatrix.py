@@ -154,10 +154,16 @@ def _identity(e, t):
                  id="scatter-time-nan"),
     pytest.param(lambda: qp.plow_charge_bpt(qp.PlowSpec(), math.nan, 64),
                  id="plow-mu-nan"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity, period=1.0)
+                 .time_grid(16.5), id="time_grid-16.5"),
+    *(pytest.param(lambda f=f, n=n: f(qp.PlowSpec(), 0.3, n_time=n),
+                   id=f"{f.__name__}-n_time-{n}")
+      for f in (qp.plow_charge_bpt, qp.plow_charge_direct)
+      for n in (16.5, -4, True, 0)),
 ])
 def test_non_finite_or_fractional_inputs_are_refused(make):
     # each would give a wrong or NaN answer if accepted (n_time = 16.5
-    # puts 17 midpoint nodes at weight span / 16.5)
+    # puts 17 midpoint nodes at weight span / 16.5; 0 divides by zero)
     with pytest.raises(ValueError):
         make()
 

@@ -3,8 +3,9 @@
 For each workload in `benchmarks/workloads.py`, seeds 1 and 2, the
 warm-up job and the first round are run through `qpump.cli.main`
 in-process, once with JSON and once with CSV output; `qpump selfcheck`
-is run once.  Each output lands in its own file under DEST (105 files),
-so two trees compare with `diff -r`:
+is run once, and `qpump models-list` once in each format, both writing
+to standard output.  Each output lands in its own file under DEST (107
+files), so two trees compare with `diff -r`:
 
     python3 tools/cli_outputs.py /tmp/before    # in one checkout
     python3 tools/cli_outputs.py /tmp/after     # in the other
@@ -143,10 +144,14 @@ def main(argv=None) -> int:
                             print(f"exit {code}: {' '.join(argv)}",
                                   file=sys.stderr)
                             return 1
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        code = cli.main(["selfcheck"])
-    (dest / "selfcheck.txt").write_text(f"{text.getvalue()}exit {code}\n")
+    runs = [("selfcheck.txt", ["selfcheck"]),
+            *((f"models-list.{fmt}", ["models-list", "--format", fmt])
+              for fmt in FORMATS)]
+    for name, argv in runs:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = cli.main(argv)
+        (dest / name).write_text(f"{text.getvalue()}exit {code}\n")
     return 0
 
 
