@@ -33,6 +33,9 @@ LIOUVILLE_STEP = 1e-6
 BATTERY_RTOL = 1e-12
 # `partition_disagreements` skips points this close to a boundary
 PARTITION_MARGIN = 1e-6
+# exit times of the plow charges; encounters `classical_scatter` follows
+PLOW_TIME_NODES = 2048
+MAX_EVENTS = 64
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def _check_lead(channel: int) -> None:
 
 
 def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
-                      channel: int, max_events: int = 64) -> ScatterResult:
+                      channel: int) -> ScatterResult:
     """Map an incoming asymptotic state through the plow."""
     # written so that NaN fails too
     if not (0.0 < energy < math.inf and -math.inf < time_in < math.inf):
@@ -111,7 +114,7 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
             break
         s, vb = hit
         events += 1
-        if events > max_events:
+        if events > MAX_EVENTS:
             raise MaxEventsExceeded("barrier encounters did not terminate")
         x_ref = x_ref + v * (s - t_ref)
         t_ref = s
@@ -225,31 +228,30 @@ def classical_energy_shift(spec: PlowSpec, energy_out: float, time_out: float,
                                         channel_out).energy
 
 
-def _outgoing_window(spec: PlowSpec, mu: float,
-                     n_time: int) -> tuple[np.ndarray, float]:
-    """Midpoint exit times covering every energy shift at mu, and dt."""
+def _exit_integral(spec: PlowSpec, mu: float, gain) -> np.ndarray:
+    """1/(2 pi) * integral dt' of gain(t', j) for each lead j, over
+    midpoint exit times that cover every energy shift at mu."""
     s = math.sqrt(2.0 * mu)
     pad = spec.travel_time * (1.0 + 6.0 * spec.speed / s) + 4.0 * spec.speed
-    return midpoint_grid(-2.0 * pad, 2.0 * pad, n_time)
+    times, dt = midpoint_grid(-2.0 * pad, 2.0 * pad, PLOW_TIME_NODES)
+    out = np.zeros(2)
+    for j in (0, 1):
+        out[j] = sum(gain(t, j) for t in times)
+    return out * dt / TWO_PI
 
 
-def plow_charge_bpt(spec: PlowSpec, mu: float,
-                    n_time: int = 2048) -> np.ndarray:
+def plow_charge_bpt(spec: PlowSpec, mu: float) -> np.ndarray:
     """Charge into each lead from the energy shift at the Fermi level.
 
     Q_j = 1/(2 pi) * integral dt' of the energy gain of the state that
     exits at (mu, t', j); the classical analogue of the frozen-matrix
     charge formula, exact to first order in the barrier speed.
     """
-    times, dt = _outgoing_window(spec, mu, n_time)
-    out = np.zeros(2)
-    for j in (0, 1):
-        out[j] = sum(classical_energy_shift(spec, mu, t, j) for t in times)
-    return out * dt / TWO_PI
+    return _exit_integral(
+        spec, mu, lambda t, j: classical_energy_shift(spec, mu, t, j))
 
 
-def plow_charge_direct(spec: PlowSpec, mu: float,
-                       n_time: int = 2048) -> np.ndarray:
+def plow_charge_direct(spec: PlowSpec, mu: float) -> np.ndarray:
     """Charge into each lead by counting filled outgoing states.
 
     The outgoing distribution in lead j at time t' is filled up to the
@@ -257,17 +259,14 @@ def plow_charge_direct(spec: PlowSpec, mu: float,
     integrated with the phase-space density 1/(2 pi), is the transferred
     charge.  No adiabatic approximation enters.
     """
-    times, dt = _outgoing_window(spec, mu, n_time)
     span = 4.0 * spec.speed * (math.sqrt(2.0 * mu) + spec.speed) + 1e-6
-    out = np.zeros(2)
-    for j in (0, 1):
-        total = 0.0
-        for t in times:
-            def filled(e_out: float) -> float:
-                return inverse_scatter(spec, e_out, t, j).energy - mu
-            total += brentq(filled, mu - span, mu + span, xtol=1e-13) - mu
-        out[j] = total
-    return out * dt / TWO_PI
+
+    def excess(t: float, j: int) -> float:
+        def filled(e_out: float) -> float:
+            return inverse_scatter(spec, e_out, t, j).energy - mu
+        return brentq(filled, mu - span, mu + span, xtol=1e-13) - mu
+
+    return _exit_integral(spec, mu, excess)
 
 
 def liouville_residual(spec: PlowSpec, energy: float, time_in: float,

@@ -100,10 +100,16 @@ def _make(make, path: str, values: dict):
         raise SchemaError(str(exc), path)
 
 
-def _flags(args, **fields) -> dict:
-    """{field: value} of each given flag (an args attribute) that is set."""
-    return {field: getattr(args, flag) for flag, field in fields.items()
-            if getattr(args, flag, None) is not None}
+def _flags(args, make, defaults: dict, **fields) -> dict:
+    """{field: value} of each given flag (an args attribute) that is set,
+    refused under the flag's name unless make(**defaults, field=value)."""
+    values = {}
+    for flag, field in fields.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            _make(make, f"--{flag}", {**defaults, field: value})
+            values[field] = value
+    return values
 
 
 def _count_flag(value: int, flag: str) -> int:
@@ -138,14 +144,16 @@ def load_config(path: str) -> dict:
 
 
 def build_state(cfg: dict, args) -> ThermalState:
-    values = _read(cfg.get("state", {}), "state", _STATE_KINDS, mu=1.0)
-    values.update(_flags(args, mu="mu", temperature="temperature"))
+    defaults = {"mu": 1.0}
+    values = _read(cfg.get("state", {}), "state", _STATE_KINDS, **defaults)
+    values.update(_flags(args, ThermalState, defaults, mu="mu",
+                         temperature="temperature"))
     return _make(ThermalState, "state", values)
 
 
 def build_quadrature(cfg: dict, args) -> QuadratureSpec:
     values = _read(cfg.get("quadrature", {}), "quadrature", _QUAD_KINDS)
-    values.update(_flags(args, grid="n_time"))
+    values.update(_flags(args, QuadratureSpec, {}, grid="n_time"))
     return _make(QuadratureSpec, "quadrature", values)
 
 

@@ -6,16 +6,16 @@ rigid translation of the scatterer), a battery shifts the transmission
 phases by phi(t) (a time-dependent flux / EMF), a sink multiplies the
 whole matrix by exp(i gamma(t)), and the optimal pump combines snowplow
 and battery phases so that the energy-shift matrix is diagonal.
-Phase models implement S once, as `evaluate_grid`: each drive and the
-dispersion are called once per distinct time or energy, on scalars, and
-the matrices of the whole grid are built by broadcasting; their point
-`evaluate` is the 1 x 1 grid.  Potential models build S(E) for
-piecewise-constant potentials by a transfer-matrix product, one kernel,
-`transfer_matrices`, over a whole stack of potentials and energies; the
-bicycle pump (two valve barriers seesawing around a piston plateau) is
-the workhorse example of quantized transport.  Its S, too, is
-implemented only as `evaluate_grid`: the path is taken once per time and
-the kernel runs once per grid.  So are the random cycles and pulses, one
+Phase models implement S once, as `evaluate_grid`: each drive is called
+once per distinct time, on scalars, the dispersion once, on the energy
+array, and the matrices of the whole grid are built by broadcasting;
+their point `evaluate` is the 1 x 1 grid.  Potential models build S(E)
+for piecewise-constant potentials by a transfer-matrix product, one
+kernel, `transfer_matrices`, over a whole stack of potentials and
+energies; the bicycle pump (two valve barriers seesawing around a piston
+plateau) is the workhorse example of quantized transport.  Its S, too,
+is implemented only as `evaluate_grid`: its path and the kernel each run
+once per grid, on arrays.  So are the random cycles and pulses, one
 batched `eigh` per grid: every built-in cycle implements S once, as a grid.
 """
 
@@ -199,7 +199,7 @@ def make_snowplow_cycle(base: TwoChannelParams, xi: Callable[[float], float],
     """Rigid translation by xi(t): r, r' pick up phases e^{+-2 i k(E) xi}."""
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        alpha = base.alpha + 2.0 * _values(default_dispersion, energies) \
+        alpha = base.alpha + 2.0 * default_dispersion(energies) \
             * _values(xi, times)[:, None]
         return two_channel_matrices(base.theta, alpha, base.phi, base.gamma)
 
@@ -242,7 +242,7 @@ def make_uturn_cycle(ell: float, flux: Callable[[float], float],
     """
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        optical = _values(default_dispersion, energies) * ell
+        optical = default_dispersion(energies) * ell
         f = _values(flux, times)[:, None]
         s = np.zeros((times.size, energies.size, 2, 2), dtype=np.complex128)
         s[..., 0, 0] = np.exp(1j * (optical + f))
@@ -279,14 +279,11 @@ def make_custom_two_channel(theta: Callable[[float], float],
                             window: tuple[float, float] | None = None) -> PumpCycle:
     """Arbitrary loop in the two-channel angle space."""
 
-    def params(t: float) -> TwoChannelParams:
-        return TwoChannelParams(theta=theta(t), alpha=alpha(t), phi=phi(t),
-                                gamma=gamma(t))
-
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        angles = np.array([[p.theta, p.alpha, p.phi, p.gamma]
-                           for p in map(params, times)], dtype=float)
-        return _over_energies(two_channel_matrices(*angles.T), energies)
+        angles = [_values(f, times) for f in (theta, alpha, phi, gamma)]
+        for end in (angles[0].min(), angles[0].max()):
+            TwoChannelParams(theta=end)    # refuses theta outside [0, pi/2]
+        return _over_energies(two_channel_matrices(*angles), energies)
 
     return _phase_cycle("custom", evaluate_grid, period, window)
 
@@ -331,29 +328,25 @@ class BicycleGeometry:
         return s.reshape(a.shape + (2, 2))
 
 
-def bicycle_path(tau: float) -> tuple[float, float]:
-    """Boundary of the (a, b) unit square at constant speed, period 1.
+def bicycle_path(tau):
+    """Boundary of the (a, b) unit square at constant speed, period 1,
+    elementwise over an array of tau: the arrays a and b.
 
     Starts at (0, 1): close the right valve only, then b down, a across,
     b up, a back.
     """
-    tau = tau % 1.0
-    leg, s = divmod(4.0 * tau, 1.0)
-    if leg == 0:
-        return 0.0, 1.0 - s
-    if leg == 1:
-        return s, 0.0
-    if leg == 2:
-        return 1.0, s
-    return 1.0 - s, 1.0
+    leg, s = np.divmod(4.0 * np.remainder(tau, 1.0), 1.0)
+    # a tiny negative tau rounds up to 1.0, leg 4: the start of leg 0
+    leg = leg.astype(int) % 4
+    return (np.choose(leg, [0.0, s, 1.0, 1.0 - s]),
+            np.choose(leg, [1.0 - s, 0.0, s, 1.0]))
 
 
 def make_bicycle_cycle(geometry: BicycleGeometry = BicycleGeometry(),
                        period: float = 1.0) -> PumpCycle:
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        path = np.array([bicycle_path(t / period) for t in times],
-                        dtype=float).reshape(-1, 2)
-        return geometry.smatrix(path[:, :1], path[:, 1:], energies)
+        a, b = bicycle_path(times / period)
+        return geometry.smatrix(a[:, None], b[:, None], energies)
 
     return PumpCycle(2, point_evaluator(evaluate_grid), period=period,
                      label="bicycle", evaluate_grid=evaluate_grid)
@@ -449,11 +442,11 @@ def make_random_analytic_cycle(n_channels: int, rng: np.random.Generator,
         f1 = lambda e: e / (1.0 + e)
         f2 = lambda e: e / (2.0 + e * e)
     else:
-        f1 = lambda e: 1.0
+        f1 = np.ones_like
         f2 = lambda e: 0.4 * e / (1.0 + e * e)
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        p1, p2 = (_values(f, energies)[:, None, None] for f in (f1, f2))
+        p1, p2 = (f(energies)[:, None, None] for f in (f1, f2))
         return _unitary_exp(p1 * h1.at(times)[:, None]
                             + p2 * h2.at(times)[:, None])
 
@@ -525,19 +518,18 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
+# the base angles of the snowplow, battery, sink and optimal pumps
+_BASE_ANGLES = {"theta": (0.9, 0.0), "alpha0": (0.0, None),
+                "phi0": (0.0, None), "gamma0": (0.0, None)}
 # kind -> {param: (default, lower bound or None)}
 MODEL_KINDS: dict[str, dict[str, tuple[float, float | None]]] = {
-    "snowplow": {"theta": (0.9, 0.0), "alpha0": (0.0, None), "phi0": (0.0, None),
-                 "gamma0": (0.0, None), "k_f": (math.pi, 1e-12),
+    "snowplow": {**_BASE_ANGLES, "k_f": (math.pi, 1e-12),
                  "xi_amplitude": (0.05, 0.0), "period": (1.0, 1e-12)},
-    "battery": {"theta": (0.9, 0.0), "alpha0": (0.0, None), "phi0": (0.0, None),
-                "gamma0": (0.0, None), "phi_rate": (TWO_PI, 1e-12)},
-    "sink": {"theta": (0.9, 0.0), "alpha0": (0.0, None), "phi0": (0.0, None),
-             "gamma0": (0.0, None), "gamma_rate": (TWO_PI, 1e-12)},
+    "battery": {**_BASE_ANGLES, "phi_rate": (TWO_PI, 1e-12)},
+    "sink": {**_BASE_ANGLES, "gamma_rate": (TWO_PI, 1e-12)},
     "uturn": {"ell": (1.0, 0.0), "flux_quanta": (1.0, None),
               "period": (1.0, 1e-12)},
-    "optimal": {"theta": (0.9, 0.0), "alpha0": (0.0, None), "phi0": (0.0, None),
-                "gamma0": (0.0, None), "phi_rate": (TWO_PI, 1e-12)},
+    "optimal": {**_BASE_ANGLES, "phi_rate": (TWO_PI, 1e-12)},
     "bicycle": {"length": (1.0, 1e-6), "barrier": (1e4, 1e-12),
                 "delta": (1e-3, 1e-12), "period": (1.0, 1e-12)},
     "custom-two-channel": {

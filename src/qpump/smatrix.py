@@ -389,9 +389,9 @@ def point_evaluator(evaluate_grid: Callable[[np.ndarray, np.ndarray],
     return evaluate
 
 
-def default_dispersion(energy: float) -> float:
-    """k(E) = sqrt(2 E) (hbar = m = 1), the dispersion of every lead."""
-    return math.sqrt(max(2.0 * energy, 0.0))
+def default_dispersion(energy):
+    """k(E) = sqrt(2 E) (hbar = m = 1) of every lead, elementwise on arrays."""
+    return np.sqrt(np.maximum(2.0 * energy, 0.0))
 
 
 def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
@@ -409,7 +409,7 @@ def apply_gauge_and_fiducial(cycle: PumpCycle, shifts: np.ndarray,
         raise ValueError("need one shift and one phase per channel")
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        k = np.array([default_dispersion(e) for e in energies])[:, None]
+        k = default_dispersion(energies)[:, None]
         u = np.exp(1j * (k * shifts + phases))
         w = np.exp(1j * (k * shifts - phases))
         return (u[:, :, None] * w[:, None, :]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qpump as qp
+from qpump import classical
 
 SPEC = qp.PlowSpec(height=1.0, speed=0.01, travel_time=10.0)
 
@@ -117,8 +118,8 @@ def test_charge_routes_agree_below_barrier_top():
     mu = 0.5
     spec = qp.PlowSpec(height=1.0, speed=0.01 * math.sqrt(2.0 * mu),
                        travel_time=10.0)
-    q_bpt = qp.plow_charge_bpt(spec, mu, n_time=1024)
-    q_direct = qp.plow_charge_direct(spec, mu, n_time=1024)
+    q_bpt = qp.plow_charge_bpt(spec, mu)
+    q_direct = qp.plow_charge_direct(spec, mu)
     assert np.max(np.abs(q_direct - q_bpt) / np.abs(q_bpt)) < 0.05
     # the plow moves charge from the left lead to the right one
     assert q_bpt[0] < 0.0 < q_bpt[1]
@@ -140,14 +141,15 @@ def test_liouville_refuses_partition_boundaries():
         qp.liouville_residual(SPEC, 0.4, t_edge, 0)
 
 
-def test_event_budget_is_enforced():
+def test_event_budget_is_enforced(monkeypatch):
     # a single thin barrier bounds the encounter count (each bounce flips
     # the relative speed for good), so the cap is exercised by shrinking
     # the budget below a known one-bounce history
     blocked = qp.classical_scatter(SPEC, 0.5, 2.0, 0)
     assert blocked.n_events >= 1
+    monkeypatch.setattr(classical, "MAX_EVENTS", 0)
     with pytest.raises(qp.MaxEventsExceeded):
-        qp.classical_scatter(SPEC, 0.5, 2.0, 0, max_events=0)
+        qp.classical_scatter(SPEC, 0.5, 2.0, 0)
 
 
 def test_battery_crossing_shift():

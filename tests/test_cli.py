@@ -276,6 +276,41 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, command, flags):
     assert "configuration error" in capsys.readouterr().err
 
 
+# a bad flag is refused under its own name, whatever the file holds; a
+# bad file value is refused under its section unless a flag replaces it
+@pytest.mark.parametrize("cfg, flags, line", [
+    pytest.param({}, ["--grid", "8"],
+                 "--grid: n_time must be an integer >= 16", id="grid"),
+    pytest.param({}, ["--mu", "-1"],
+                 "--mu: chemical potential must be positive and finite",
+                 id="mu"),
+    pytest.param({"state": {"mu": 2.0}}, ["--temperature", "-1"],
+                 "--temperature: temperature must be non-negative and "
+                 "finite", id="temperature"),
+    pytest.param({"state": {"temperature": -1.0}}, ["--mu", "2"],
+                 "state: temperature must be non-negative and finite",
+                 id="file-temperature"),
+    pytest.param({"quadrature": {"n_time": 8}}, ["--mu", "2"],
+                 "quadrature: n_time must be an integer >= 16",
+                 id="file-n_time"),
+])
+def test_flag_refusal_lines_are_pinned(tmp_path, capsys, cfg, flags, line):
+    path = _write(tmp_path, "cfg.json", {"model": {"kind": "battery"}, **cfg})
+    assert cli.main(["transport", "--config", path, *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {line}\n"
+
+
+def test_valid_flags_replace_bad_file_values(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json",
+                  {"model": {"kind": "battery"},
+                   "state": {"mu": -1.0, "temperature": -1.0},
+                   "quadrature": {"n_time": 8}})
+    assert cli.main(["transport", "--config", path, "--grid", "16",
+                     "--mu", "2", "--temperature", "0.1"]) == 0
+    summary = _json_out(capsys)["summary"]
+    assert (summary["mu"], summary["temperature"]) == (2.0, 0.1)
+
+
 @pytest.mark.parametrize("pulse", [
     pytest.param({"kind": "battery", "gamma_total": 3}, id="battery-gamma"),
     pytest.param({"kind": "battery", "amplitude": 9}, id="battery-amplitude"),
@@ -391,7 +426,7 @@ def scipy_modules():
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
 print(json.dumps(scipy_modules()))
-qpump.plow_charge_direct(qpump.PlowSpec(), 0.3, n_time=4)
+qpump.plow_charge_direct(qpump.PlowSpec(), 0.3)
 print(json.dumps(scipy_modules()))
 """
 

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import qpump as qp
+from qpump.models import bicycle_path
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -226,6 +227,50 @@ def test_bicycle_corner_approaches_hard_wall():
         gaps.append(abs(s[0, 0] + 1.0))
     assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
     assert gaps[2] < 1e-2
+
+
+def _scalar_bicycle_path(tau: float) -> tuple[float, float]:
+    """The path leg by leg on one scalar, as a reference."""
+    tau = tau % 1.0
+    leg, s = divmod(4.0 * tau, 1.0)
+    if leg == 0:
+        return 0.0, 1.0 - s
+    if leg == 1:
+        return s, 0.0
+    if leg == 2:
+        return 1.0, s
+    return 1.0 - s, 1.0
+
+
+def test_bicycle_path_on_arrays():
+    quarters = np.array([0.0, 0.25, 0.5, 0.75])
+    corners = ([0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+    for shift in (-2.0, -1.0, 0.0, 1.0, 3.0):
+        a, b = bicycle_path(quarters + shift)
+        assert a.tolist() == corners[0] and b.tolist() == corners[1]
+    taus = np.random.default_rng(5).uniform(-3.0, 3.0, 20000)
+    a, b = bicycle_path(taus)
+    want = np.array([_scalar_bicycle_path(t) for t in taus])
+    assert np.array_equal(a, want[:, 0]) and np.array_equal(b, want[:, 1])
+    a1, b1 = bicycle_path(taus + 1.0)
+    assert np.max(np.abs(a1 - a)) < 1e-14 and np.max(np.abs(b1 - b)) < 1e-14
+
+
+def test_bicycle_is_continuous_across_the_start():
+    # -1e-18 % 1.0 rounds up to 1.0, which must be the start (0, 1) of
+    # the path, not the end of its last leg
+    a, b = bicycle_path(np.array([-1e-18, 1e-18]))
+    assert a.tolist() == [0.0, 0.0] and b.tolist() == [1.0, 1.0]
+    s = qp.make_bicycle_cycle().sample_grid([1.0], [-1e-18, 1e-18])
+    assert np.max(np.abs(s[0] - s[1])) < 1e-12
+
+
+def test_default_dispersion_on_arrays_matches_scalar_calls():
+    energies = np.concatenate([[-1.0, 0.0, 1e-300],
+                               np.random.default_rng(3).uniform(0, 50, 1000)])
+    k = qp.default_dispersion(energies)
+    assert np.array_equal(k, [qp.default_dispersion(e) for e in energies])
+    assert np.array_equal(k, [math.sqrt(max(2.0 * e, 0.0)) for e in energies])
 
 
 def test_bicycle_cycle_period_and_charge_sign():

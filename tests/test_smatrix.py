@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qpump as qp
+from qpump import classical
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -117,6 +119,12 @@ def _identity(e, t):
     return np.eye(2)
 
 
+def _with_plow_time_nodes(n, charge):
+    """Run a plow charge with its exit-time count set to n."""
+    with mock.patch.object(classical, "PLOW_TIME_NODES", n):
+        return charge(qp.PlowSpec(), 0.3)
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: qp.QuadratureSpec(n_time=16.5), id="n_time-16.5"),
     pytest.param(lambda: qp.QuadratureSpec(n_energy=64.0), id="n_energy-float"),
@@ -152,11 +160,11 @@ def _identity(e, t):
                  id="scatter-energy-inf"),
     pytest.param(lambda: qp.classical_scatter(qp.PlowSpec(), 0.5, math.nan, 1),
                  id="scatter-time-nan"),
-    pytest.param(lambda: qp.plow_charge_bpt(qp.PlowSpec(), math.nan, 64),
+    pytest.param(lambda: qp.plow_charge_bpt(qp.PlowSpec(), math.nan),
                  id="plow-mu-nan"),
     pytest.param(lambda: qp.PumpCycle(2, _identity, period=1.0)
                  .time_grid(16.5), id="time_grid-16.5"),
-    *(pytest.param(lambda f=f, n=n: f(qp.PlowSpec(), 0.3, n_time=n),
+    *(pytest.param(lambda f=f, n=n: _with_plow_time_nodes(n, f),
                    id=f"{f.__name__}-n_time-{n}")
       for f in (qp.plow_charge_bpt, qp.plow_charge_direct)
       for n in (16.5, -4, True, 0)),
