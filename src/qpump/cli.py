@@ -15,10 +15,9 @@ CSV with '#' metadata lines) is deterministic for fixed inputs: no
 timestamps, sorted keys, explicit seeds.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as with
-`| head`), 2 configuration error, 3 violated numerical or unitarity
-invariant, 4 request outside the validity region of a formula (zero
-temperature, non-settling pulse, band-edge crossing), 5 resource cap
-hit.
+`| head`), else the code its error class states in `errors.py`:
+2 configuration error, 3 invariant violated, 4 outside validity region
+(zero temperature, non-settling pulse, band-edge crossing), 5 resource cap.
 """
 
 from __future__ import annotations
@@ -36,10 +35,7 @@ import numpy as np
 
 from . import geometry, models
 from .counting import noise_report
-from .errors import (EnergyAtBandEdge, GridTooCoarse, MaxEventsExceeded,
-                     NonPulseCycle, NonUnitary, PhaseUnwrapFailure,
-                     RegionTouchesDiscontinuity, SchemaError,
-                     StencilOutOfDomain, ZeroTemperature)
+from .errors import HEADINGS, PhaseUnwrapFailure, PumpError, SchemaError
 from .classical import (PlowSpec, partition_disagreements, plow_charge_bpt,
                         plow_charge_direct)
 from .models import MODEL_KINDS, ModelSpec, make_pump
@@ -112,8 +108,8 @@ def _flags(args, make, defaults: dict, **fields) -> dict:
     return values
 
 
-def _count_flag(value: int, flag: str) -> int:
-    _require(value >= 0, "expected a non-negative integer", flag)
+def _count(value: int, path: str) -> int:
+    _require(value >= 0, "expected a non-negative integer", path)
     return value
 
 
@@ -195,8 +191,7 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
                   amplitude=0.5, seed=seed)
         _require(p["n_channels"] >= 1, "need at least one channel",
                  "pulse.n_channels")
-        _require(p["seed"] >= 0, "expected a non-negative integer",
-                 "pulse.seed")
+        _count(p["seed"], "pulse.seed")
         return models.make_pulse_cycle(
             p["n_channels"], np.random.default_rng(p["seed"]),
             window=(t0, t1), amplitude=p["amplitude"])
@@ -300,8 +295,7 @@ def cmd_transport(args) -> int:
     rows = zip(*columns)
 
     payload = {"summary": summary, "series": dict(zip(header, columns))}
-    meta = {k: v for k, v in summary.items()}
-    _emit(args, payload, header, rows, meta)
+    _emit(args, payload, header, rows, summary)
     return 0
 
 
@@ -311,8 +305,7 @@ def cmd_geometry(args) -> int:
     state = build_state(cfg, args)
     q = build_quadrature(cfg, args)
     channel = args.channel
-    if not 0 <= channel < cycle.n_channels:
-        raise SchemaError("channel out of range", "channel")
+    _flags(args, geometry._check_channel, {"cycle": cycle}, channel="channel")
 
     bpt = cycle_charge(cycle, ThermalState(mu=state.mu), q)
     angle_charge = geometry.charge_from_global_angle(cycle, channel,
@@ -327,7 +320,7 @@ def cmd_geometry(args) -> int:
     try:
         results["winding"] = geometry.amplitude_winding(cycle, channel,
                                                         state.mu, q)
-    except (PhaseUnwrapFailure, ValueError):
+    except PhaseUnwrapFailure:
         results["winding"] = None   # amplitude wanders or vanishes
     if cycle.n_channels == 2:
         results["fractional_charge"] = geometry.fractional_charge(
@@ -342,10 +335,9 @@ def cmd_noise(args) -> int:
     cfg = load_config(args.config)
     state = build_state(cfg, args)
     q = build_quadrature(cfg, args)
-    pulse = build_pulse(cfg, _count_flag(args.seed, "--seed"))
+    pulse = build_pulse(cfg, _count(args.seed, "--seed"))
     channel = args.channel
-    if not 0 <= channel < pulse.n_channels:
-        raise SchemaError("channel out of range", "channel")
+    _flags(args, geometry._check_channel, {"cycle": pulse}, channel="channel")
 
     if args.zero_t:
         state = ThermalState(mu=state.mu, temperature=0.0)
@@ -373,9 +365,9 @@ def cmd_classical(args) -> int:
     cfg = load_config(args.config)
     state = build_state(cfg, args)
     plow = build_plow(cfg)
-    rng = np.random.default_rng(_count_flag(args.seed, "--seed"))
+    rng = np.random.default_rng(_count(args.seed, "--seed"))
 
-    n = _count_flag(args.points, "--points")
+    n = _count(args.points, "--points")
     energies = rng.uniform(0.2 * plow.height, 3.0 * plow.height, size=n)
     times = rng.uniform(-2.0 * plow.travel_time, 2.0 * plow.travel_time,
                         size=n)
@@ -529,20 +521,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:   # so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SchemaError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (NonUnitary, PhaseUnwrapFailure, GridTooCoarse,
-            StencilOutOfDomain, ValueError) as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 3
-    except (ZeroTemperature, NonPulseCycle, RegionTouchesDiscontinuity,
-            EnergyAtBandEdge) as exc:
-        print(f"outside validity region: {exc}", file=sys.stderr)
-        return 4
-    except MaxEventsExceeded as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 5
+    except PumpError as exc:
+        print(f"{HEADINGS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:   # numpy's LinAlgError, scipy's brentq bracket
+        print(f"{HEADINGS[PumpError.exit_code]}: {exc}", file=sys.stderr)
+        return PumpError.exit_code
 
 
 if __name__ == "__main__":

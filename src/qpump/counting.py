@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
-from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, gauss_legendre
 from .smatrix import PumpCycle, stencil
-from .transport import (NOISE_NORM, ThermalState, _offdiag, _row_weights,
+from .transport import (ThermalState, _offdiag, _row_weights, _window_rates,
                         cycle_charge)
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
@@ -102,7 +102,7 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
     _window(cycle)
     times, dt = cycle.time_grid(q.n_time)
     total = sum(_offdiag(cycle, state.mu, times, q)[:, channel])
-    return float(state.beta / (TWO_PI * NOISE_NORM) * total * dt)
+    return float(_window_rates(total, state)[1] * dt)
 
 
 def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:

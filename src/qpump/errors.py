@@ -1,54 +1,69 @@
 """Exception types shared across the package.
 
-Each error names the violated precondition or invariant.  The CLI maps
-these onto distinct exit codes, so library code should raise the most
-specific class that applies.
+Each error names the violated precondition or invariant and states the
+exit code the CLI returns for it, so library code should raise the most
+specific class that applies.  Codes, stderr headings and classes:
+
+    2  configuration error      SchemaError
+    3  invariant violated       NonUnitary, StencilOutOfDomain, GridTooCoarse,
+                                PhaseUnwrapFailure, and a bare ValueError
+    4  outside validity region  ZeroTemperature, NonPulseCycle,
+                                EnergyAtBandEdge, RegionTouchesDiscontinuity
+    5  resource cap             MaxEventsExceeded
 """
 
 from __future__ import annotations
+
+HEADINGS = {2: "configuration error", 3: "invariant violated",
+            4: "outside validity region", 5: "resource cap"}
 
 
 class PumpError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 3
 
-class NonUnitary(PumpError):
+    def __init_subclass__(cls, exit_code: int):
+        cls.exit_code = exit_code
+
+
+class NonUnitary(PumpError, exit_code=3):
     """A scattering matrix failed a unitarity (or Hermitization) check."""
 
 
-class StencilOutOfDomain(PumpError):
+class StencilOutOfDomain(PumpError, exit_code=3):
     """A finite-difference stencil would need data below the band bottom E = 0."""
 
 
-class ZeroTemperature(PumpError):
+class ZeroTemperature(PumpError, exit_code=4):
     """Operation requires T > 0 (entropy and thermal-noise currents)."""
 
 
-class PhaseUnwrapFailure(PumpError):
+class PhaseUnwrapFailure(PumpError, exit_code=3):
     """Adjacent phase samples differ by >= pi; continuation is ambiguous."""
 
 
-class GridTooCoarse(PumpError):
+class GridTooCoarse(PumpError, exit_code=3):
     """Discrete samples are too sparse for a reliable geometric quantity."""
 
 
-class NonPulseCycle(PumpError):
+class NonPulseCycle(PumpError, exit_code=4):
     """Operation requires a pulse cycle (scatterer settles outside a window)."""
 
 
-class EnergyAtBandEdge(PumpError):
+class EnergyAtBandEdge(PumpError, exit_code=4):
     """Energy coincides with a potential plateau; local wavenumber vanishes."""
 
 
-class MaxEventsExceeded(PumpError):
+class MaxEventsExceeded(PumpError, exit_code=5):
     """An internal iteration cap was exceeded."""
 
 
-class RegionTouchesDiscontinuity(PumpError):
+class RegionTouchesDiscontinuity(PumpError, exit_code=4):
     """A phase-space region straddles a scattering-map discontinuity."""
 
 
-class SchemaError(PumpError):
+class SchemaError(PumpError, exit_code=2):
     """A run configuration failed validation.
 
     `path` locates the offending entry, e.g. ``model.delta``.

@@ -226,7 +226,7 @@ def winding_number(values: np.ndarray) -> int:
     if z.ndim != 1 or z.size < 3:
         raise ValueError("need a 1-d path with >= 3 samples")
     if np.min(np.abs(z)) < 1e-12:
-        raise ValueError("path passes through zero; winding undefined")
+        raise PhaseUnwrapFailure("path passes through zero; winding undefined")
     steps = np.angle(np.roll(z, -1) / z)
     if np.any(np.abs(steps) > 0.9 * math.pi):
         raise PhaseUnwrapFailure(

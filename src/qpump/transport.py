@@ -99,16 +99,16 @@ def thermal_energy_nodes(state: ThermalState,
     """Quadrature nodes straddling mu for integrands localized by -drho/dE.
 
     Two Gauss-Legendre panels meeting at mu, each reaching out
-    `energy_window` temperatures (clipped below so stencils stay inside
-    the physical band E > 0); the upper one takes the odd node of an odd
-    `n_energy`.
+    `energy_window` temperatures (the lower one clipped so stencils stay
+    inside the physical band E > 0, but never past mu, where it has no
+    weight left); the upper one takes the odd node of an odd `n_energy`.
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("no thermal window at zero temperature")
     half = q.n_energy // 2
     reach = q.energy_window * state.temperature
     floor = max(1e-8, 10.0 * q.h_e_rel * max(state.mu, 1.0))
-    lo = max(state.mu - reach, floor)
+    lo = min(max(state.mu - reach, floor), state.mu)
     x1, w1 = gauss_legendre(lo, state.mu, half)
     x2, w2 = gauss_legendre(state.mu, state.mu + reach, q.n_energy - half)
     return np.concatenate([x1, x2]), np.concatenate([w1, w2])

@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qpump import cli
+from qpump import cli, errors, geometry
+from qpump.errors import PumpError
 from qpump.models import MODEL_KINDS
 from qpump.quadrature import QuadratureSpec
 
@@ -300,6 +302,16 @@ def test_flag_refusal_lines_are_pinned(tmp_path, capsys, cfg, flags, line):
     assert capsys.readouterr().err == f"configuration error: {line}\n"
 
 
+@pytest.mark.parametrize("command", ["geometry", "noise"])
+def test_channel_refusal_line_is_pinned(tmp_path, capsys, command):
+    path = _write(tmp_path, "cfg.json",
+                  {"model": {"kind": "battery"},
+                   "pulse": {"kind": "battery", "window": [0.0, 10.0]}})
+    assert cli.main([command, "--config", path, "--channel", "5"]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: --channel: channel index out of range\n"
+
+
 def test_valid_flags_replace_bad_file_values(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json",
                   {"model": {"kind": "battery"},
@@ -364,6 +376,87 @@ def test_zero_temperature_direct_request_exits_4(tmp_path, capsys):
     assert cli.main(["noise", "--config", _pulse_cfg(tmp_path),
                      "--direct"]) == 4
     assert "outside validity region" in capsys.readouterr().err
+
+
+# every error class of the package -> its exit code and stderr heading
+EXIT_CODES = {
+    "SchemaError": (2, "configuration error"),
+    "NonUnitary": (3, "invariant violated"),
+    "StencilOutOfDomain": (3, "invariant violated"),
+    "PhaseUnwrapFailure": (3, "invariant violated"),
+    "GridTooCoarse": (3, "invariant violated"),
+    "ZeroTemperature": (4, "outside validity region"),
+    "NonPulseCycle": (4, "outside validity region"),
+    "RegionTouchesDiscontinuity": (4, "outside validity region"),
+    "EnergyAtBandEdge": (4, "outside validity region"),
+    "MaxEventsExceeded": (5, "resource cap"),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_states_its_exit_code():
+    found = {cls.__name__: cls.exit_code for cls in _subclasses(PumpError)
+             if cls.__module__ == "qpump.errors"}
+    assert found == {name: code for name, (code, _) in EXIT_CODES.items()}
+
+
+def _raise_in_transport(monkeypatch, exc):
+    def transport_report(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "transport_report", transport_report)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_main_returns_the_code_of_each_error_class(tmp_path, capsys,
+                                                   monkeypatch, name):
+    code, heading = EXIT_CODES[name]
+    _raise_in_transport(monkeypatch, getattr(errors, name)("boom"))
+    assert cli.main(["transport", "--config", _battery_cfg(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{heading}: boom\n"
+
+
+def test_main_needs_no_edit_for_a_new_error_class(tmp_path, capsys,
+                                                   monkeypatch):
+    class Unlisted(PumpError, exit_code=5):
+        """An error class that the CLI module does not name."""
+
+    _raise_in_transport(monkeypatch, Unlisted("boom"))
+    assert cli.main(["transport", "--config", _battery_cfg(tmp_path)]) == 5
+    assert capsys.readouterr().err == "resource cap: boom\n"
+
+
+def test_bare_value_error_exits_3(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError
+    _raise_in_transport(monkeypatch, np.linalg.LinAlgError("singular"))
+    assert cli.main(["transport", "--config", _battery_cfg(tmp_path)]) == 3
+    assert capsys.readouterr().err == "invariant violated: singular\n"
+
+
+def test_only_a_winding_failure_gives_a_null_winding(tmp_path, capsys,
+                                                     monkeypatch):
+    cfg = _battery_cfg(tmp_path)
+
+    def failing(exc):
+        def winding_number(values):
+            raise exc
+        return winding_number
+
+    monkeypatch.setattr(geometry, "winding_number",
+                        failing(errors.PhaseUnwrapFailure("no winding")))
+    assert cli.main(["geometry", "--config", cfg]) == 0
+    assert _json_out(capsys)["summary"]["winding"] is None
+
+    monkeypatch.setattr(geometry, "winding_number",
+                        failing(ValueError("a fault in the winding code")))
+    assert cli.main(["geometry", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violated: a fault in the winding code\n"
 
 
 def test_models_list_covers_all_kinds(capsys):

@@ -135,6 +135,17 @@ def test_thermal_nodes_honor_odd_counts():
         assert nodes.size == weights.size == n
 
 
+@pytest.mark.parametrize("mu, h_e_rel", [(1e-3, 1e-3), (1e-5, 1e-5)])
+def test_thermal_lower_panel_never_reaches_above_mu(mu, h_e_rel):
+    # the band-bottom floor 10 h_e lies above mu here: the lower panel
+    # loses its weight instead of running from the floor back down to mu
+    state = qp.ThermalState(mu=mu, temperature=0.1)
+    q = replace(Q, h_e_rel=h_e_rel)
+    nodes, weights = qp.thermal_energy_nodes(state, q)
+    assert np.all(nodes[:q.n_energy // 2] <= mu)
+    assert np.all(-qp.fermi_derivative(nodes, state) * weights >= 0.0)
+
+
 def test_thermal_average_loses_weight_below_band_bottom():
     # with T comparable to mu the Fermi derivative sticks out below the
     # band bottom; the missing weight is f(floor) - f(top), not 1.

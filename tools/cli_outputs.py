@@ -4,7 +4,9 @@ For each workload in `benchmarks/workloads.py`, seeds 1 and 2, the
 warm-up job and the first round are run through `qpump.cli.main`
 in-process, once with JSON and once with CSV output; `qpump selfcheck`
 is run once, and `qpump models-list` once in each format, both writing
-to standard output.  Each output lands in its own file under DEST (107
+to standard output.  Four refused runs follow, one per exit code 2, 3
+and 4 and the `--channel` refusal; each of their files holds the stderr
+line and `exit N`.  Each output lands in its own file under DEST (111
 files), so two trees compare with `diff -r`:
 
     python3 tools/cli_outputs.py /tmp/before    # in one checkout
@@ -40,6 +42,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 FORMATS = ("json", "csv")
+# (file, configuration, command and flags) of each refused run
+REFUSALS = (
+    ("refused-exit2-state-key.txt",
+     {"model": {"kind": "battery"}, "state": {"nu": 1.0}}, ["transport"]),
+    ("refused-exit2-channel.txt",
+     {"model": {"kind": "battery"}}, ["geometry", "--channel", "5"]),
+    ("refused-exit3-bicycle-grid18.txt",
+     {"model": {"kind": "bicycle"}}, ["transport", "--grid", "18"]),
+    ("refused-exit4-zero-t-direct.txt",
+     {"pulse": {"kind": "battery", "window": [0.0, 10.0]}},
+     ["noise", "--zero-t", "--direct"]),
+)
 # largest relative difference of a float that --compare accepts
 FLOAT_RTOL = 1e-14
 # splits JSON, CSV and selfcheck text into value tokens
@@ -144,14 +158,19 @@ def main(argv=None) -> int:
                             print(f"exit {code}: {' '.join(argv)}",
                                   file=sys.stderr)
                             return 1
-    runs = [("selfcheck.txt", ["selfcheck"]),
-            *((f"models-list.{fmt}", ["models-list", "--format", fmt])
-              for fmt in FORMATS)]
-    for name, argv in runs:
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):
-            code = cli.main(argv)
-        (dest / name).write_text(f"{text.getvalue()}exit {code}\n")
+        runs = [("selfcheck.txt", ["selfcheck"]),
+                *((f"models-list.{fmt}", ["models-list", "--format", fmt])
+                  for fmt in FORMATS)]
+        for name, cfg, (command, *flags) in REFUSALS:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            runs.append((name, [command, "--config", str(path), *flags]))
+        for name, argv in runs:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), \
+                    contextlib.redirect_stderr(text):
+                code = cli.main(argv)
+            (dest / name).write_text(f"{text.getvalue()}exit {code}\n")
     return 0
 
 
