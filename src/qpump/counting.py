@@ -25,8 +25,8 @@ from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
 from .quadrature import QuadratureSpec, gauss_legendre
 from .smatrix import PumpCycle, stencil
-from .transport import (ThermalState, _offdiag, _row_weights, _window_rates,
-                        cycle_charge)
+from .transport import (ThermalState, _midpoint_charge, _offdiag,
+                        _row_weights, _window_rates, cycle_charge)
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
 SETTLE_TOL = 1e-6
@@ -84,7 +84,13 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     if state.temperature == 0.0:
         return 0.0
     times, dt = cycle.time_grid(q.n_time)
-    diag = row_states(cycle, channel, state.mu, times)[:, channel]
+    return _thermal_from_diag(
+        row_states(cycle, channel, state.mu, times)[:, channel], state, dt)
+
+
+def _thermal_from_diag(diag: np.ndarray, state: ThermalState,
+                       dt: float) -> float:
+    """Thermal noise from S_jj at mu on the midpoint nodes of the window."""
     total = sum(1.0 - np.abs(diag) ** 2)
     return float(state.temperature / math.pi * total * dt)
 
@@ -101,8 +107,15 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     _window(cycle)
     times, dt = cycle.time_grid(q.n_time)
-    total = sum(_offdiag(cycle, state.mu, times, q)[:, channel])
-    return float(_window_rates(total, state)[1] * dt)
+    return _shot_from_offdiag(_offdiag(cycle, state.mu, times, q)[:, channel],
+                              state, dt)
+
+
+def _shot_from_offdiag(offdiag: np.ndarray, state: ThermalState,
+                       dt: float) -> float:
+    """Finite-temperature shot noise from the off-diagonal row weight at mu
+    on the midpoint nodes of the window."""
+    return float(_window_rates(sum(offdiag), state)[1] * dt)
 
 
 def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,46 +134,74 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
                       q: QuadratureSpec = QuadratureSpec()) -> float:
     """Zero-temperature charge variance of a pulse:
 
-        1/(4 pi^2) * double integral of [1 - |(S(t) S(t')^+)_jj|^2]
-        over (t - t')^2.
+        1/(4 pi^2) * double integral of B(t, t') / (t - t')^2,
+        B(t, t') = 1 - |(S(t) S(t')^+)_jj|^2.
 
-    The kernel is smooth (the numerator vanishes to second order on the
-    diagonal, where the limit is the off-diagonal row weight of the
-    energy shift); pairs closer than eps_diag_rel of the window take the
-    mean of the limits at their two nodes.  Outside the window the
-    matrix is constant, so the tails reduce to single integrals and the
-    corner region drops out exactly; convergence requires the pulse to
-    settle to one constant, which is checked.
+    The kernel is smooth (B vanishes to second order on the diagonal,
+    where the limit is the off-diagonal row weight of the energy shift);
+    pairs closer than eps_diag_rel of the window take the mean of the
+    limits at their two nodes.  Outside the window the matrix is
+    constant, so the tails reduce to single integrals against the two
+    edge rows and the corner region drops out exactly; convergence
+    requires the pulse to settle to one constant, which is checked.
+
+    On the uniform Simpson grid both kernels depend on the lag alone, so
+    the double sum is a set of Toeplitz quadratic forms, each done by FFT
+    on a circulant embedding of twice the node count: O(N log N) time
+    and O(N) memory.  With P(t) = r r^+ for the row r of channel j,
+    D(t) = P(t) - P(t0), a(t) = Re Tr P(t0) D(t) and c = 1 - Tr P(t0)^2,
+
+        B(t, t') = c - a(t) - a(t') - Tr D(t) D(t')
+
+    exactly.  Every term vanishes when P is constant, so a noiseless
+    pulse gives zero to rounding instead of the difference of two sums
+    a thousand times larger than the answer.
     """
     _check_channel(cycle, channel)
     _check_pulse(cycle, mu)
     t0, t1 = _window(cycle)
     times, weights = _simpson(t0, t1, q.n_shot_time)
+    n = times.size
 
     # one stencil at the nodes gives the rows and the near-band limits
     st = stencil(cycle, mu, times, q)
     rows = np.array(st.samples[0][:, 0, channel])
     off = np.array(_row_weights(st.shift)[2][:, 0, channel])
-    del st    # frees the samples before the N x N work
-    gram = rows @ rows.conj().T
-    bmat = 1.0 - np.abs(gram) ** 2
-    np.clip(bmat, 0.0, None, out=bmat)
+    del st    # frees the samples before the FFT work
 
-    dt_matrix = times[:, None] - times[None, :]
-    far = np.abs(dt_matrix) >= q.eps_diag_rel * (t1 - t0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.where(far, bmat / dt_matrix ** 2, 0.0)
-    ii, jj = np.nonzero(~far)
-    kernel[ii, jj] = 0.5 * (off[ii] + off[jj])
+    proj = rows[:, :, None] * rows[:, None, :].conj()
+    d = proj - proj[0]
+    a = np.einsum("ab,kba->k", proj[0], d).real
+    c = 1.0 - np.einsum("ab,ba->", proj[0], proj[0]).real
 
-    interior = float(weights @ kernel @ weights)
+    # far kernel 1 / (k h)^2 and the near band's indicator, on lags k >= 0
+    lag = np.arange(n) * ((t1 - t0) / (n - 1))
+    near = lag < q.eps_diag_rel * (t1 - t0)
+    kernels = np.zeros((2 * n, 2))
+    np.divide(1.0, lag ** 2, out=kernels[:n, 0], where=~near)
+    kernels[:n, 1] = near
+    kernels[n + 1:] = kernels[n - 1:0:-1]
+    # x^H K y is the sum over frequencies of K^ conj(X) Y / 2n, and the
+    # interior is c w'Kw - 2 (w a)'Kw - sum_ab (w D_ab)^H K (w D_ab) plus
+    # (w off)' band w.  numpy.fft is reached here, so importing the
+    # package does not load it
+    fft = np.fft.fft
+    spectra = fft(kernels, axis=0).real / (2 * n)
+    signals = np.column_stack([np.ones(n), a, off, d.reshape(n, -1)])
+    x = fft(weights[:, None] * signals, n=2 * n, axis=0)
+    cross = (x[:, 0].conj()[:, None] * x[:, 1:3]).real
+    far = (c * np.abs(x[:, 0]) ** 2 - 2.0 * cross[:, 0]
+           - np.sum(np.abs(x[:, 3:]) ** 2, axis=1))
+    interior = float(spectra[:, 0] @ far + spectra[:, 1] @ cross[:, 1])
 
     # tails: for t beyond an edge the matrix is the settled constant, so
     # integrating the inverse-square kernel in t leaves B(edge, t') over
-    # |t' - edge|; bmat[0] is B(t0, t') and bmat[-1] is B(t1, t').
+    # |t' - edge|
+    edge = 1.0 - np.abs(rows @ rows[[0, -1]].conj().T) ** 2
+    np.clip(edge, 0.0, None, out=edge)
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(times > t0, bmat[0] / (times - t0), 0.0)
-        right = np.where(times < t1, bmat[-1] / (t1 - times), 0.0)
+        left = np.where(times > t0, edge[:, 0] / (times - t0), 0.0)
+        right = np.where(times < t1, edge[:, 1] / (t1 - times), 0.0)
     tails = float(weights @ left) + float(weights @ right)
 
     return (interior + 2.0 * tails) / (4.0 * math.pi ** 2)
@@ -181,11 +222,16 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("the direct evaluation needs a thermal kernel")
+    double = _direct_double(cycle, channel, state, q)
+    return thermal_noise(cycle, channel, state, q) + double
+
+
+def _direct_double(cycle: PumpCycle, channel: int, state: ThermalState,
+                   q: QuadratureSpec) -> float:
+    """Two-time term of `second_cumulant_direct`, after checking the pulse."""
     _check_pulse(cycle, state.mu)
     mu = state.mu
     pi_t = math.pi * state.temperature
-
-    single = thermal_noise(cycle, channel, state, q)
 
     times, dt = cycle.time_grid(q.n_time)
     x, wx = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
@@ -199,9 +245,7 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
     inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
-    double = float(np.sum(inner)) * pi_t * dt / (4.0 * math.pi ** 2)
-
-    return single + double
+    return float(np.sum(inner)) * pi_t * dt / (4.0 * math.pi ** 2)
 
 
 @dataclass(frozen=True)
@@ -220,18 +264,27 @@ class NoiseReport:
 def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                  q: QuadratureSpec = QuadratureSpec(),
                  include_direct: bool = False) -> NoiseReport:
-    """Mean and variance of the pumped charge through one pulse."""
+    """Mean and variance of the pumped charge through one pulse.
+
+    At finite temperature the stencil of the mean also gives the
+    matrices and the off-diagonal weight at mu for the thermal and shot
+    parts, and the thermal part is shared with the direct cumulant, so
+    each is sampled once.
+    """
     _check_channel(cycle, channel)
     if state.temperature == 0.0 and include_direct:
         raise ZeroTemperature("direct second cumulant needs temperature > 0")
-    mean = mean_transferred_charge(cycle, state, q)[channel]
     if state.temperature == 0.0:
+        mean = mean_transferred_charge(cycle, state, q)[channel]
         shot = shot_noise_zero_t(cycle, channel, state.mu, q)
         return NoiseReport(channel=channel, temperature=0.0, mean=float(mean),
                            thermal=0.0, shot=shot, total=shot)
-    thermal = thermal_noise(cycle, channel, state, q)
-    shot = shot_noise_finite_t(cycle, channel, state, q)
-    direct = (second_cumulant_direct(cycle, channel, state, q)
+    _window(cycle)
+    charge, dt, (off, at_mu) = _midpoint_charge(cycle, state, q, mu=state.mu)
+    mean = charge[channel]
+    thermal = _thermal_from_diag(at_mu[:, channel, channel], state, dt)
+    shot = _shot_from_offdiag(off[:, channel], state, dt)
+    direct = (thermal + _direct_double(cycle, channel, state, q)
               if include_direct else None)
     return NoiseReport(channel=channel, temperature=state.temperature,
                        mean=float(mean), thermal=thermal, shot=shot,

@@ -152,13 +152,18 @@ def _thermal_rates(cycle: PumpCycle, times, energies: np.ndarray,
                    mass: np.ndarray, q: QuadratureSpec,
                    mu: float | None = None):
     """Charge and dissipation currents at `times`, shape (N, n) each, and
-    the off-diagonal row weight of the shift at `mu` when one is given."""
+    when `mu` is given, the off-diagonal row weight of the shift, (N, n),
+    and the matrices themselves, (N, n, n), at mu from the same stencil;
+    None without it."""
     nodes = energies if mu is None else np.append(energies, mu)
-    diag, rows, off = _row_weights(stencil(cycle, nodes, times, q).shift)
+    st = stencil(cycle, nodes, times, q)
+    diag, rows, off = _row_weights(st.shift)
     m = mass.size
+    at_mu = (None if mu is None
+             else (off[:, -1], np.array(st.samples[0][:, -1])))
     return (_thermal_average(diag[:, :m], mass) / TWO_PI,
             _thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
-            None if mu is None else off[:, -1])
+            at_mu)
 
 
 def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -221,9 +226,17 @@ def cycle_charge(cycle: PumpCycle, state: ThermalState,
     Midpoint rule in time; for smooth periodic cycles this converges
     spectrally, and the nodes dodge path corners of piecewise drives.
     """
+    return _midpoint_charge(cycle, state, q)[0]
+
+
+def _midpoint_charge(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
+                     mu: float | None = None):
+    """`cycle_charge`, the time step of its grid, and what `_thermal_rates`
+    gives at `mu` on the same nodes."""
     times, dt = cycle.time_grid(q.n_time)
-    charge = _thermal_rates(cycle, times, *_thermal_mass(state, q), q)[0]
-    return charge.sum(axis=0) * dt
+    charge, _, at_mu = _thermal_rates(cycle, times, *_thermal_mass(state, q),
+                                      q, mu=mu)
+    return charge.sum(axis=0) * dt, dt, at_mu
 
 
 def _wrap_angle(x):
@@ -304,9 +317,9 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
     times, dt = cycle.time_grid(q.n_time)
     finite_t = state.temperature > 0.0
     energies, mass = _thermal_mass(state, q)
-    charge, diss, off = _thermal_rates(cycle, times, energies, mass, q,
-                                       mu=state.mu if finite_t else None)
-    ent, noi = _window_rates(off, state) if finite_t else (None, None)
+    charge, diss, at_mu = _thermal_rates(cycle, times, energies, mass, q,
+                                         mu=state.mu if finite_t else None)
+    ent, noi = _window_rates(at_mu[0], state) if finite_t else (None, None)
     bk = _bk_residual(cycle, energies, mass,
                       times[:: max(times.size // 8, 1)], q)
     return TransportReport(

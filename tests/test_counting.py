@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,21 @@ def test_zero_t_shot_noise_is_grid_stable():
     assert abs(wide / ref - 1.0) < 1e-6
 
 
+def test_zero_t_shot_noise_memory_grows_linearly():
+    # a dense kernel on 8193 nodes would hold 537 MB in one float array;
+    # the Toeplitz forms keep a few arrays of length 2N
+    cyc = _battery_pulse()
+    coarse = qp.shot_noise_zero_t(cyc, 0, 1.0, replace(Q, n_shot_time=4096))
+    tracemalloc.start()
+    try:
+        fine = qp.shot_noise_zero_t(cyc, 0, 1.0, replace(Q, n_shot_time=8192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert abs(fine / coarse - 1.0) < 1e-6
+
+
 def test_random_pulse_regression():
     rng = np.random.default_rng(7)
     cyc = qp.make_pulse_cycle(3, rng)
@@ -154,6 +170,22 @@ def test_direct_cumulant_matches_thermal_plus_shot():
     assert rep.direct is not None
     assert abs(rep.direct / rep.total - 1.0) < 1e-6
     assert abs(rep.total - rep.thermal - rep.shot) < 1e-14
+
+
+@pytest.mark.parametrize("make", [_battery_pulse,
+                                  lambda: qp.make_pulse_cycle(
+                                      3, np.random.default_rng(7), WINDOW)])
+def test_noise_report_matches_the_standalone_cumulants(make):
+    # the report takes the mean, the thermal and the shot part from one
+    # stencil, and adds the direct cumulant's two-time term to that
+    # thermal part
+    cyc = make()
+    state = qp.ThermalState(mu=1.0, temperature=12.0)
+    rep = qp.noise_report(cyc, 1, state, include_direct=True)
+    assert rep.mean == qp.mean_transferred_charge(cyc, state)[1]
+    assert rep.thermal == qp.thermal_noise(cyc, 1, state)
+    assert rep.shot == qp.shot_noise_finite_t(cyc, 1, state)
+    assert rep.direct == qp.second_cumulant_direct(cyc, 1, state)
 
 
 def test_noise_report_zero_t_is_pure_shot():

@@ -5,8 +5,10 @@ hypothesis draws the random analytic cycle (seed, 1-4 channels, either
 energy profile), the Fermi energy and the temperature (zero or
 0.02-0.3), and each invariant is held to the bound of its gate; the
 charge sum rule also draws whole turns of a global phase.  The
-draws are derandomized, so a run is reproducible and a failure names
-its example.
+zero-temperature shot noise is held to a dense O(N^2) copy of its
+double sum on random and battery pulses, and to zero on the noiseless
+pumps.  The draws are derandomized, so a run is reproducible and a
+failure names its example.
 """
 from __future__ import annotations
 
@@ -17,8 +19,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import qpump as qp
+from qpump.counting import _simpson
 from qpump.quadrature import TWO_PI
-from qpump.smatrix import point_evaluator
+from qpump.smatrix import point_evaluator, stencil
+from qpump.transport import _row_weights
 
 Q = qp.QuadratureSpec()
 # the invariants below hold node by node, so a coarse time grid suffices
@@ -146,3 +150,75 @@ def test_unresolved_patches_are_drawn_again():
     for seed, dim in ((578, 1), (51, 2)):
         patch = qp.random_smooth_patch(np.random.default_rng(seed), dim=dim)
         assert qp.stokes_residual(patch) < 1e-6
+
+
+def _dense_zero_t_shot(cycle: qp.PumpCycle, channel: int, mu: float,
+                       q: qp.QuadratureSpec) -> float:
+    """`shot_noise_zero_t` as one dense N x N kernel: B(t, t') over
+    (t - t')^2 off the near band, the mean of the two nodes' limits on
+    it, and the constant tails folded to single integrals."""
+    t0, t1 = cycle.window
+    times, weights = _simpson(t0, t1, q.n_shot_time)
+    st = stencil(cycle, mu, times, q)
+    rows = st.samples[0][:, 0, channel]
+    off = _row_weights(st.shift)[2][:, 0, channel]
+    bmat = np.clip(1.0 - np.abs(rows @ rows.conj().T) ** 2, 0.0, None)
+    lag = times[:, None] - times[None, :]
+    far = np.abs(lag) >= q.eps_diag_rel * (t1 - t0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(far, bmat / lag ** 2,
+                          0.5 * (off[:, None] + off[None, :]))
+        left = np.where(times > t0, bmat[0] / (times - t0), 0.0)
+        right = np.where(times < t1, bmat[-1] / (t1 - times), 0.0)
+    tails = weights @ left + weights @ right
+    return float(weights @ kernel @ weights + 2.0 * tails) / (4.0 * math.pi ** 2)
+
+
+def _near_band_draws(n_shot_time: int, eps: float) -> bool:
+    """No node spacing sits on the near band's edge, where rounding in
+    the node differences would decide which side a pair falls on."""
+    lags = eps * (n_shot_time - n_shot_time % 2)    # Simpson intervals
+    return abs(lags - round(lags)) > 1e-6
+
+
+def _swept_pulse(maker, theta: float, turns: int) -> qp.PumpCycle:
+    window = (0.0, 10.0)
+    return maker(qp.TwoChannelParams(theta=theta),
+                 lambda t: turns * TWO_PI * qp.smooth_step(t, *window),
+                 window=window)
+
+
+shot_specs = st.builds(
+    lambda n, eps: replace(Q, n_shot_time=n, eps_diag_rel=eps),
+    st.integers(128, 256), st.floats(1e-3, 3e-2)).filter(
+        lambda q: _near_band_draws(q.n_shot_time, q.eps_diag_rel))
+random_pulses = st.builds(
+    lambda seed, n, amplitude: qp.make_pulse_cycle(
+        n, np.random.default_rng(seed), window=(0.0, 8.0),
+        amplitude=amplitude),
+    seeds, st.integers(2, 4), st.floats(0.2, 0.8))
+battery_pulses = st.builds(
+    lambda theta, turns: _swept_pulse(qp.make_battery_cycle, theta, turns),
+    st.floats(0.2, 1.4), st.sampled_from([-1, 1]))
+noiseless_pulses = st.builds(
+    _swept_pulse, st.sampled_from([qp.make_optimal_cycle, qp.make_sink_cycle]),
+    st.floats(0.2, 1.4), st.sampled_from([-1, 1]))
+
+
+@SETTINGS
+@given(st.one_of(random_pulses, battery_pulses), st.integers(0, 1),
+       st.floats(0.5, 2.0), shot_specs)
+def test_zero_t_shot_noise_matches_the_dense_double_sum(cycle, channel, mu,
+                                                       q):
+    got = qp.shot_noise_zero_t(cycle, channel, mu, q)
+    want = _dense_zero_t_shot(cycle, channel, mu, q)
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-13)
+
+
+@SETTINGS
+@given(noiseless_pulses, st.integers(0, 1), shot_specs)
+def test_noiseless_pumps_have_no_zero_t_shot_noise(cycle, channel, q):
+    # the row of each channel only turns its phase, so B vanishes
+    # identically and what is left is rounding
+    for spec in (q, Q):
+        assert abs(qp.shot_noise_zero_t(cycle, channel, 1.0, spec)) <= 1e-13

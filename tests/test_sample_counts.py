@@ -37,7 +37,7 @@ CASES = {
         ["--grid", "64", "--zero-t"], 3_271, None),
     "noise-direct": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
-        ["--grid", "64", "--direct"], 16_708, 4_612),
+        ["--grid", "64", "--direct"], 16_580, 4_292),
 }
 
 
