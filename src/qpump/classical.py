@@ -33,8 +33,12 @@ LIOUVILLE_STEP = 1e-6
 BATTERY_RTOL = 1e-12
 # `partition_disagreements` skips points this close to a boundary
 PARTITION_MARGIN = 1e-6
-# exit times of the plow charges; encounters `classical_scatter` follows
-PLOW_TIME_NODES = 2048
+# midpoint nodes of the plow charges (exit times of `plow_charge_bpt`,
+# incoming speeds of `plow_charge_direct`); the width to which a boundary
+# between two pieces of the Fermi line is bisected
+PLOW_NODES = 64
+PIECE_TOL = 1e-13
+# encounters `classical_scatter` follows
 MAX_EVENTS = 64
 
 
@@ -105,7 +109,8 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
     if not (0.0 < energy < math.inf and -math.inf < time_in < math.inf):
         raise ValueError("need a finite incoming time and energy > 0")
     _check_lead(channel)
-    v = math.sqrt(2.0 * energy) * (1.0 if channel == 0 else -1.0)
+    speed_in = math.sqrt(2.0 * energy)
+    v = speed_in if channel == 0 else -speed_in
     x_ref, t_ref, after = 0.0, float(time_in), -math.inf
     events = 0
     while True:
@@ -124,7 +129,9 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
         # else: passes over the thin barrier with unchanged velocity
     channel_out = 0 if v < 0.0 else 1
     time_out = t_ref - x_ref / v
-    return ScatterResult(energy=0.5 * v * v, time=time_out,
+    # passing over or bouncing off the parked barrier keeps |v| bit-equal
+    energy_out = energy if abs(v) == speed_in else 0.5 * v * v
+    return ScatterResult(energy=energy_out, time=time_out,
                          channel=channel_out, n_events=events)
 
 
@@ -216,6 +223,7 @@ def _scipy_brentq():
     return solver
 
 
+# unused by the package: the benchmark tracer's `classical.root` site reads it
 def brentq(f, a: float, b: float, xtol: float) -> float:
     """scipy.optimize.brentq, loaded on the first call."""
     return _scipy_brentq()(f, a, b, xtol=xtol)
@@ -228,16 +236,62 @@ def classical_energy_shift(spec: PlowSpec, energy_out: float, time_out: float,
                                         channel_out).energy
 
 
-def _exit_integral(spec: PlowSpec, mu: float, gain) -> np.ndarray:
-    """1/(2 pi) * integral dt' of gain(t', j) for each lead j, over
-    midpoint exit times that cover every energy shift at mu."""
-    s = math.sqrt(2.0 * mu)
-    pad = spec.travel_time * (1.0 + 6.0 * spec.speed / s) + 4.0 * spec.speed
-    times, dt = midpoint_grid(-2.0 * pad, 2.0 * pad, PLOW_TIME_NODES)
-    out = np.zeros(2)
-    for j in (0, 1):
-        out[j] = sum(gain(t, j) for t in times)
-    return out * dt / TWO_PI
+def _require_reflection(spec: PlowSpec, mu: float) -> None:
+    """Refuse a Fermi level that is not clear below every `_partition`
+    threshold, so that every state up to mu reflects whatever its time.
+
+    Between the lowest and the highest threshold some states at mu pass
+    and others reflect, and one lead's Fermi line lands in both leads;
+    above the highest, states below mu pass too, which the count of
+    `plow_charge_direct` does not follow.
+    """
+    if not 0.0 < mu < math.inf:
+        raise ValueError("need a finite Fermi level mu > 0")
+    lowest = min(spec.height, *(_partition(spec, mu, ch)[0] for ch in (0, 1)))
+    if mu > lowest - PARTITION_MARGIN:
+        raise RegionTouchesDiscontinuity(
+            f"the plow charges need every state up to mu to reflect: mu = "
+            f"{mu:.6g} is not {PARTITION_MARGIN:g} below {lowest:.6g}")
+
+
+def _reach(spec: PlowSpec, energy: float) -> float:
+    """A time beyond which a state at `energy` meets only the parked barrier."""
+    s = math.sqrt(2.0 * energy)
+    return 2.0 * (spec.travel_time * (1.0 + 6.0 * spec.speed / s)
+                  + 4.0 * spec.speed)
+
+
+def _fermi_line_pieces(outcome, reach: float) -> list:
+    """Pieces of [-reach, reach] on which t -> outcome(t) keeps its
+    channel, encounter count and energy.
+
+    `PLOW_NODES` midpoint times are scanned, and each cell whose ends
+    differ is bisected down to `PIECE_TOL`.  Returns the first and the
+    last time seen on each piece and the outcome there, in order.
+    """
+    def key(point):
+        r = point[1]
+        return r.channel, r.n_events, r.energy
+
+    def split(a, b):
+        if b[0] - a[0] <= PIECE_TOL:
+            ends.extend((a, b))
+            return
+        t = 0.5 * (a[0] + b[0])
+        m = (t, outcome(t))
+        if key(m) != key(a):
+            split(a, m)
+        if key(m) != key(b):
+            split(m, b)
+
+    times, _ = midpoint_grid(-reach, reach, PLOW_NODES)
+    scan = [(t, outcome(t)) for t in times.tolist()]
+    ends = [scan[0]]
+    for a, b in zip(scan, scan[1:]):
+        if key(a) != key(b):
+            split(a, b)
+    ends.append(scan[-1])
+    return [(a[0], b[0], a[1]) for a, b in zip(ends[::2], ends[1::2])]
 
 
 def plow_charge_bpt(spec: PlowSpec, mu: float) -> np.ndarray:
@@ -245,28 +299,50 @@ def plow_charge_bpt(spec: PlowSpec, mu: float) -> np.ndarray:
 
     Q_j = 1/(2 pi) * integral dt' of the energy gain of the state that
     exits at (mu, t', j); the classical analogue of the frozen-matrix
-    charge formula, exact to first order in the barrier speed.
+    charge formula, exact to first order in the barrier speed.  The gain
+    is constant on each piece of the exit line, so the integral is a
+    finite sum; for v = sqrt(2 mu) > 2 v0 it is
+    Q = 2 v0 w / (pi v) * (-(v + v0)^2, (v - v0)^2).
     """
-    return _exit_integral(
-        spec, mu, lambda t, j: classical_energy_shift(spec, mu, t, j))
+    _require_reflection(spec, mu)
+    q = np.zeros(2)
+    for lead in (0, 1):
+        pieces = _fermi_line_pieces(
+            lambda t: inverse_scatter(spec, mu, t, lead), _reach(spec, mu))
+        for t0, t1, first in pieces:
+            q[lead] += (mu - first.energy) * (t1 - t0)
+    return q / TWO_PI
 
 
 def plow_charge_direct(spec: PlowSpec, mu: float) -> np.ndarray:
     """Charge into each lead by counting filled outgoing states.
 
-    The outgoing distribution in lead j at time t' is filled up to the
-    energy whose preimage sits exactly at mu; the excess over mu,
-    integrated with the phase-space density 1/(2 pi), is the transferred
-    charge.  No adiabatic approximation enters.
+    Every incoming state up to mu reflects, and the scattering map keeps
+    phase-space area.  So over exit times [-T, T], lead j holds as many
+    filled states as there are incoming states of lead j below mu that
+    exit inside it.  On the line of incoming energy E these span 2 T
+    plus the delay t' - t of the line's early end minus that of its late
+    end, where it meets the parked barrier:
+
+        Q_j = 1/(2 pi) * integral_0^mu dE [delay_early - delay_late](E).
+
+    No adiabatic approximation enters.  A parked bounce delays by a
+    distance over the speed s = sqrt(2 E), and dE = s ds, so the
+    integrand is constant in s and the midpoint rule in s is exact:
+    Q = 2 v0 w sqrt(2 mu) / pi * (-1, 1), the states below mu in the
+    length 2 v0 w that the barrier moves.
     """
-    span = 4.0 * spec.speed * (math.sqrt(2.0 * mu) + spec.speed) + 1e-6
-
-    def excess(t: float, j: int) -> float:
-        def filled(e_out: float) -> float:
-            return inverse_scatter(spec, e_out, t, j).energy - mu
-        return brentq(filled, mu - span, mu + span, xtol=1e-13) - mu
-
-    return _exit_integral(spec, mu, excess)
+    _require_reflection(spec, mu)
+    speeds, ds = midpoint_grid(0.0, math.sqrt(2.0 * mu), PLOW_NODES)
+    q = np.zeros(2)
+    for lead in (0, 1):
+        for s in speeds.tolist():
+            e = 0.5 * s * s
+            t = _reach(spec, e)
+            early = classical_scatter(spec, e, -t, lead).time + t
+            late = classical_scatter(spec, e, t, lead).time - t
+            q[lead] += (early - late) * s
+    return q * ds / TWO_PI
 
 
 def liouville_residual(spec: PlowSpec, energy: float, time_in: float,

@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     except PumpError as exc:
         print(f"{HEADINGS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:   # numpy's LinAlgError, scipy's brentq bracket
+    except ValueError as exc:   # numpy's LinAlgError
         print(f"{HEADINGS[PumpError.exit_code]}: {exc}", file=sys.stderr)
         return PumpError.exit_code
 

@@ -126,6 +126,111 @@ def test_charge_routes_agree_below_barrier_top():
     assert abs(q_direct[0] + q_direct[1]) < 5e-3
 
 
+def _plow_draws(n: int, seed: int):
+    # the benchmark's classical regime: slow barrier, mu at most height / 2
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        height = rng.uniform(0.5, 2.0)
+        spec = qp.PlowSpec(height=height, speed=rng.uniform(0.004, 0.01),
+                           travel_time=rng.uniform(5.0, 15.0))
+        yield spec, rng.uniform(0.25, 0.5) * height
+
+
+def test_plow_charges_match_their_closed_forms():
+    # every encounter is solved exactly, so both charges are exact; with
+    # v = sqrt(2 mu) > 2 v0 each bounce changes the speed once, by 2 v0
+    for spec, mu in _plow_draws(6, 71):
+        v, v0, w = math.sqrt(2.0 * mu), spec.speed, spec.travel_time
+        direct = 2.0 * v0 * w * v / math.pi * np.array([-1.0, 1.0])
+        bpt = 2.0 * v0 * w / (math.pi * v) * np.array([-(v + v0) ** 2,
+                                                       (v - v0) ** 2])
+        q_direct = qp.plow_charge_direct(spec, mu)
+        assert np.max(np.abs(q_direct / direct - 1.0)) < 1e-12
+        assert abs(q_direct.sum()) < 1e-12 * abs(direct[0])
+        assert np.max(np.abs(qp.plow_charge_bpt(spec, mu) / bpt - 1.0)) < 1e-12
+
+
+def _filled_excess(spec, mu, t_out, lead, span):
+    """Integral over E' of filled minus Fermi sea at one exit time.
+
+    A state is filled when its preimage lies below mu; only energies
+    within `span` of mu can change.  Cells of the energy grid whose ends
+    differ are bisected to the boundary.
+    """
+    def filled(e):
+        return qp.inverse_scatter(spec, e, t_out, lead).energy < mu
+
+    grid = np.linspace(mu - span, mu + span, 401)
+    marks = [filled(e) for e in grid]
+    edges = [grid[0]]
+    for a, b, mark, next_mark in zip(grid, grid[1:], marks, marks[1:]):
+        if mark != next_mark:
+            for _ in range(50):
+                m = 0.5 * (a + b)
+                a, b = (m, b) if filled(m) == mark else (a, m)
+            edges.append(0.5 * (a + b))
+    edges.append(grid[-1])
+    excess, state = grid[0] - mu, marks[0]
+    for lo, hi in zip(edges, edges[1:]):
+        excess += (hi - lo) * state
+        state = not state
+    return excess
+
+
+def test_direct_charge_counts_the_filled_outgoing_states():
+    # brute force: at each exit time, measure the filled energies by
+    # bisecting on the preimage, then integrate over exit times with
+    # Gauss-Legendre between the times where the outgoing energy jumps.
+    # Where two pieces of one lead's Fermi line exit at the same times,
+    # the states between them are empty, so a sum of (E' - mu) dt' along
+    # that image would be off by about v0^2 / v^2 relative.
+    mu = 0.5
+    v, v0, w = math.sqrt(2.0 * mu), SPEC.speed, SPEC.travel_time
+    span = 4.0 * v0 * (v + v0)
+    jumps = ((w * (v - v0) / (v - 2 * v0), w * (v + v0) / v),
+             (w * (v + v0) / (v + 2 * v0), w * (v - v0) / v))
+    x, weights = np.polynomial.legendre.leggauss(16)
+    q = qp.plow_charge_direct(SPEC, mu)
+    for lead in (0, 1):
+        edges = sorted({-12.0, 12.0, *jumps[lead], *(-t for t in jumps[lead])})
+        count = 0.0
+        for a, b in zip(edges, edges[1:]):
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            count += half * sum(
+                wt * _filled_excess(SPEC, mu, mid + half * xi, lead, span)
+                for xi, wt in zip(x, weights))
+        assert abs(count / (2.0 * math.pi) / q[lead] - 1.0) < 1e-7
+
+
+def _thresholds(spec):
+    return sorted(0.5 * (math.sqrt(2.0 * spec.height) + sign * spec.speed) ** 2
+                  for sign in (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("where", [
+    "lower-edge", "inside-0.995", "inside-1.005", "upper-edge", "above"])
+@pytest.mark.parametrize("charge", [qp.plow_charge_bpt, qp.plow_charge_direct])
+def test_plow_charges_refuse_fermi_levels_where_states_pass(charge, where):
+    # from (sqrt(2 h) - v0)^2 / 2 up to (sqrt(2 h) + v0)^2 / 2 some states
+    # at mu pass and others reflect, so one lead's Fermi line lands in
+    # both leads; above that, states below mu pass, which the count of
+    # filled states does not follow
+    lowest, highest = _thresholds(SPEC)
+    mu = {"lower-edge": lowest - 0.5 * classical.PARTITION_MARGIN,
+          "inside-0.995": 0.995, "inside-1.005": 1.005,
+          "upper-edge": highest + 0.5 * classical.PARTITION_MARGIN,
+          "above": 1.2}[where]
+    with pytest.raises(qp.RegionTouchesDiscontinuity, match="reflect"):
+        charge(SPEC, mu)
+
+
+def test_plow_charges_run_just_below_the_lowest_threshold():
+    mu = _thresholds(SPEC)[0] - 2.0 * classical.PARTITION_MARGIN
+    for charge in (qp.plow_charge_bpt, qp.plow_charge_direct):
+        q = charge(SPEC, mu)
+        assert q[0] < 0.0 < q[1]
+
+
 def test_liouville_determinant_is_one_off_boundaries():
     assert qp.liouville_residual(SPEC, 0.4, 2.0, 0) < 1e-6
     assert qp.liouville_residual(SPEC, 2.5, -14.0, 1) < 1e-6

@@ -119,9 +119,9 @@ def _identity(e, t):
     return np.eye(2)
 
 
-def _with_plow_time_nodes(n, charge):
-    """Run a plow charge with its exit-time count set to n."""
-    with mock.patch.object(classical, "PLOW_TIME_NODES", n):
+def _with_plow_nodes(n, charge):
+    """Run a plow charge with its node count set to n."""
+    with mock.patch.object(classical, "PLOW_NODES", n):
         return charge(qp.PlowSpec(), 0.3)
 
 
@@ -164,7 +164,7 @@ def _with_plow_time_nodes(n, charge):
                  id="plow-mu-nan"),
     pytest.param(lambda: qp.PumpCycle(2, _identity, period=1.0)
                  .time_grid(16.5), id="time_grid-16.5"),
-    *(pytest.param(lambda f=f, n=n: _with_plow_time_nodes(n, f),
+    *(pytest.param(lambda f=f, n=n: _with_plow_nodes(n, f),
                    id=f"{f.__name__}-n_time-{n}")
       for f in (qp.plow_charge_bpt, qp.plow_charge_direct)
       for n in (16.5, -4, True, 0)),

@@ -4,10 +4,11 @@ For each workload in `benchmarks/workloads.py`, seeds 1 and 2, the
 warm-up job and the first round are run through `qpump.cli.main`
 in-process, once with JSON and once with CSV output; `qpump selfcheck`
 is run once, and `qpump models-list` once in each format, both writing
-to standard output.  Four refused runs follow, one per exit code 2, 3
-and 4 and the `--channel` refusal; each of their files holds the stderr
-line and `exit N`.  Each output lands in its own file under DEST (111
-files), so two trees compare with `diff -r`:
+to standard output.  Five refused runs follow: one per exit code 2, 3
+and 4, the `--channel` refusal, and a classical plow whose Fermi level
+lies where states both pass and reflect; each of their files holds the
+stderr line and `exit N`.  Each output lands in its own file under DEST
+(112 files), so two trees compare with `diff -r`:
 
     python3 tools/cli_outputs.py /tmp/before    # in one checkout
     python3 tools/cli_outputs.py /tmp/after     # in the other
@@ -53,6 +54,9 @@ REFUSALS = (
     ("refused-exit4-zero-t-direct.txt",
      {"pulse": {"kind": "battery", "window": [0.0, 10.0]}},
      ["noise", "--zero-t", "--direct"]),
+    ("refused-exit4-classical-mixed.txt",
+     {"classical": {"height": 1.0, "speed": 0.01}, "state": {"mu": 0.995}},
+     ["classical", "--points", "50"]),
 )
 # largest relative difference of a float that --compare accepts
 FLOAT_RTOL = 1e-14
