@@ -7,7 +7,8 @@ phases by phi(t) (a time-dependent flux / EMF), a sink multiplies the
 whole matrix by exp(i gamma(t)), and the optimal pump combines snowplow
 and battery phases so that the energy-shift matrix is diagonal.
 Phase models implement S once, as `evaluate_grid`: each drive is called
-once per distinct time, on scalars, the dispersion once, on the energy
+once, on the time array (a drive that takes only scalars falls back to
+one call per time, see `_values`), the dispersion once, on the energy
 array, and the matrices of the whole grid are built by broadcasting;
 their point `evaluate` is the 1 x 1 grid.  Potential models build S(E)
 for piecewise-constant potentials by a transfer-matrix product, one
@@ -47,24 +48,33 @@ RESONANCE_SEPARATION = 1e-3
 # ---------------------------------------------------------------------------
 # smooth envelopes for pulse protocols
 
-def smooth_step(t: float, t0: float, t1: float) -> float:
-    """C-infinity monotone ramp: exactly 0 for t <= t0, 1 for t >= t1."""
-    x = (t - t0) / (t1 - t0)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / x)
-    b = math.exp(-1.0 / (1.0 - x))
-    return a / (a + b)
+def smooth_step(t, t0: float, t1: float):
+    """C-infinity monotone ramp: exactly 0 for t <= t0, 1 for t >= t1.
+
+    Elementwise on an array of t, with the same shape back; a scalar t
+    gives a float.  NaN stays NaN.
+    """
+    x = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
+    outside = (x <= 0.0) | (x >= 1.0)
+    x_in = np.where(outside, 0.5, x)        # NaN passes through
+    with np.errstate(over="ignore"):        # 1 / x of a subnormal x
+        a = np.exp(-1.0 / x_in)
+        b = np.exp(-1.0 / (1.0 - x_in))
+    out = np.where(outside, np.where(x >= 1.0, 1.0, 0.0), a / (a + b))
+    return out if out.ndim else float(out)
 
 
-def smooth_bump(t: float, t0: float, t1: float) -> float:
-    """C-infinity bump supported on (t0, t1), peak value 1 at the centre."""
-    u = (2.0 * t - t0 - t1) / (t1 - t0)
-    if abs(u) >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - u * u))
+def smooth_bump(t, t0: float, t1: float):
+    """C-infinity bump supported on (t0, t1), peak value 1 at the centre.
+
+    Elementwise on an array of t, with the same shape back; a scalar t
+    gives a float.  NaN stays NaN.
+    """
+    u = (2.0 * np.asarray(t, dtype=float) - t0 - t1) / (t1 - t0)
+    outside = np.abs(u) >= 1.0
+    u_in = np.where(outside, 0.0, u)        # NaN passes through
+    out = np.where(outside, 0.0, np.exp(1.0 - 1.0 / (1.0 - u_in * u_in)))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +183,22 @@ def _interfaces(k_from: np.ndarray, k_to: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phase models on the two-channel angles
 
-def _values(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """f at each point of a 1-d array, called on scalars."""
-    return np.array([f(x) for x in xs], dtype=float)
+def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """f at each point of a 1-d array.
+
+    f is called once, on the whole array.  A drive that takes only
+    scalars (it raises TypeError or ValueError on an array) or returns
+    something other than one value per point, a constant for instance,
+    is called once per point instead, on floats.  A drive that accepts
+    arrays must give the values it gives point by point.
+    """
+    try:
+        out = f(xs)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or np.shape(out) != xs.shape:
+        return np.array([f(x) for x in xs], dtype=float)
+    return np.asarray(out, dtype=float)
 
 
 def _over_energies(per_time: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -469,8 +492,7 @@ def make_pulse_cycle(n_channels: int, rng: np.random.Generator,
     bumps = ((t0, t1), (t0 + 0.25 * span, t1 - 0.1 * span))
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:
-        w1, w2 = (_values(lambda t: smooth_bump(t, *b), times)[:, None, None]
-                  for b in bumps)
+        w1, w2 = (smooth_bump(times, *b)[:, None, None] for b in bumps)
         return _over_energies(_unitary_exp(w1 * g1 + w2 * g2), energies)
 
     return PumpCycle(n_channels, point_evaluator(evaluate_grid),
@@ -580,7 +602,7 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
         period = p["period"]
         amp = p["xi_amplitude"]
         return make_snowplow_cycle(
-            base, xi=lambda t: amp * math.sin(TWO_PI * t / period),
+            base, xi=lambda t: amp * np.sin(TWO_PI * t / period),
             period=period)
     if spec.kind in _SWEPT_ANGLE:
         maker, angle = _SWEPT_ANGLE[spec.kind]
@@ -609,7 +631,7 @@ def make_pump(spec: ModelSpec) -> PumpCycle:
                              "outside [0, pi/2]") from None
 
     def angle(bias: float, amp: float) -> Callable[[float], float]:
-        return lambda t: bias + amp * math.sin(TWO_PI * t / period)
+        return lambda t: bias + amp * np.sin(TWO_PI * t / period)
 
     return make_custom_two_channel(
         theta=angle(p["theta_base"], p["theta_amp"]),

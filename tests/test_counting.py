@@ -78,6 +78,30 @@ def test_zero_t_shot_noise_against_closed_kernel():
     assert abs(got - 0.2663712615665627) < 1e-9  # pinned against drift
 
 
+@pytest.mark.parametrize("theta, turns", [(THETA, 1), (1.1, -2)])
+def test_zero_t_shot_noise_against_the_spectrum(theta, turns):
+    # for a battery pulse B(t, t') = c^2 s^2 |g(t) - g(t')|^2 with
+    # g = e^{i phi} - 1, which vanishes outside the window, so the variance
+    # is c^2 s^2 / (4 pi^2) times the integral of |w| |g^(w)|^2 dw
+    # (Levitov, Lee & Lesovik 1996).  A plain FFT of g, zero-padded to
+    # 640 windows, shares no code with the kernel; its periodic images
+    # bias it low by about 1e-7 at this length
+    phase = lambda t: turns * TWO_PI * qp.smooth_step(t, *WINDOW)
+    cyc = qp.make_battery_cycle(qp.TwoChannelParams(theta=theta), phi=phase,
+                                window=WINDOW)
+    got = qp.shot_noise_zero_t(cyc, 0, 1.0)
+
+    h = (WINDOW[1] - WINDOW[0]) / 1024
+    t = WINDOW[0] + h * np.arange(640 * 1024)
+    g_hat = h * np.fft.fft(np.exp(1j * phase(t)) - 1.0)
+    omega = TWO_PI * np.fft.fftfreq(t.size, d=h)
+    d_omega = TWO_PI / (t.size * h)
+    c2s2 = (math.cos(theta) * math.sin(theta)) ** 2
+    spectral = c2s2 * float(np.abs(omega) @ np.abs(g_hat) ** 2) * d_omega \
+        / (4.0 * math.pi ** 2)
+    assert abs(got / spectral - 1.0) < 1e-6
+
+
 def test_diagonal_limit_matches_finite_ratio():
     # B(t, t + d) / d^2 approaches the off-diagonal shift weight; sample
     # the cycle directly so the check is independent of the integrator

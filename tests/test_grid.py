@@ -17,7 +17,7 @@ import pytest
 import qpump as qp
 from qpump.cli import build_pulse
 from qpump.models import MODEL_KINDS, ModelSpec, make_pump
-from qpump.smatrix import stencil
+from qpump.smatrix import stencil, two_channel_matrices
 
 Q = qp.QuadratureSpec()
 ENERGIES = np.array([0.4, 1.0, 2.5])
@@ -96,18 +96,49 @@ def test_fallback_loop_for_plain_cycles():
     assert np.max(np.abs(grid - _pointwise(cycle, ENERGIES, TIMES))) <= 1e-15
 
 
-def test_drives_are_called_once_per_distinct_time():
+def test_array_drives_are_called_once_on_the_time_array():
     calls = []
 
-    def phi(t: float) -> float:
-        assert isinstance(t, float)
+    def phi(t):
         calls.append(t)
         return 2.0 * t
 
     cycle = qp.make_battery_cycle(qp.TwoChannelParams(theta=0.6), phi=phi,
                                   period=1.0)
-    cycle.sample_grid(np.linspace(0.5, 2.0, 9), TIMES)
-    assert calls == list(TIMES)
+    grid = cycle.sample_grid(np.linspace(0.5, 2.0, 9), TIMES)
+    assert len(calls) == 1 and np.array_equal(calls[0], TIMES)
+    want = two_channel_matrices(0.6, 0.0, 2.0 * TIMES, 0.0)
+    assert np.array_equal(grid[:, 0], want)
+
+
+def _scalar_only(t: float) -> float:
+    if not isinstance(t, float):
+        raise TypeError("scalars only")
+    return 2.0 * t
+
+
+@pytest.mark.parametrize("drive", [
+    _scalar_only,
+    lambda t: 2.0 * t if t > 0.5 else 0.25,    # ValueError on an array
+    lambda t: 0.25,                            # a constant
+], ids=["type-error", "value-error", "constant"])
+def test_scalar_drives_are_called_once_per_distinct_time(drive):
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return drive(t)
+
+    cycle = qp.make_battery_cycle(qp.TwoChannelParams(theta=0.6), phi=phi,
+                                  period=1.0)
+    grid = cycle.sample_grid(np.linspace(0.5, 2.0, 9), TIMES)
+    # one try on the whole array, then one call per time, on floats
+    assert np.array_equal(calls[0], TIMES)
+    assert all(isinstance(t, float) for t in calls[1:])
+    assert calls[1:] == list(TIMES)
+    phis = np.array([drive(float(t)) for t in TIMES])
+    assert np.array_equal(grid[:, 0],
+                          two_channel_matrices(0.6, 0.0, phis, 0.0))
 
 
 def test_wrong_grid_shape_is_rejected():

@@ -9,13 +9,15 @@ from __future__ import annotations
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import qpump as qp
-from qpump.models import bicycle_path
+from qpump import cli, models
+from qpump.models import bicycle_path, smooth_bump, smooth_step
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -301,6 +303,87 @@ def test_pulse_cycle_settles_to_identity():
         assert np.max(np.abs(cyc.evaluate(1.0, t) - np.eye(3))) < 1e-12
     mid = cyc.evaluate(1.0, 10.0)
     assert np.max(np.abs(mid - np.eye(3))) > 1e-3
+
+
+def _step_reference(t: float, t0: float, t1: float) -> float:
+    x = (t - t0) / (t1 - t0)
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    a, b = math.exp(-1.0 / x), math.exp(-1.0 / (1.0 - x))
+    return a / (a + b)
+
+
+def _bump_reference(t: float, t0: float, t1: float) -> float:
+    u = (2.0 * t - t0 - t1) / (t1 - t0)
+    return 0.0 if abs(u) >= 1.0 else math.exp(1.0 - 1.0 / (1.0 - u * u))
+
+
+@pytest.mark.parametrize("t0, t1", [(2.0, 7.0), (0.0, 0.5)])
+def test_envelopes_on_arrays_match_the_scalar_formula(t0, t1):
+    span = t1 - t0
+    edges = [t0, t1, math.nextafter(t0, math.inf), math.nextafter(t1, 0.0),
+             t0 + 5e-324, t0 + 1e-3 * span, t1 - 1e-3 * span]
+    ts = np.concatenate([np.linspace(t0 - 0.3 * span, t1 + 0.3 * span, 4001),
+                         edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, ref in ((smooth_step, _step_reference),
+                       (smooth_bump, _bump_reference)):
+            got = f(ts, t0, t1)
+            want = np.array([ref(float(t), t0, t1) for t in ts])
+            assert isinstance(got, np.ndarray) and got.shape == ts.shape
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+            assert np.array_equal(f(ts.reshape(-1, 2), t0, t1),
+                                  got.reshape(-1, 2))
+            for t in (t0, 0.5 * (t0 + t1), t1 + 1.0, 3):
+                assert type(f(t, t0, t1)) is float
+                assert type(f(np.float64(t), t0, t1)) is float
+        outside = (ts <= t0) | (ts >= t1)
+        step, bump = smooth_step(ts, t0, t1), smooth_bump(ts, t0, t1)
+        assert np.all(step[ts <= t0] == 0.0) and np.all(step[ts >= t1] == 1.0)
+        assert np.all(bump[outside] == 0.0)
+        assert np.all((step[~outside] >= 0.0) & (step[~outside] <= 1.0))
+        assert np.all((bump >= 0.0) & (bump <= 1.0))
+        odd = np.array([math.nan, -math.inf, math.inf])
+        assert np.array_equal(smooth_step(odd, t0, t1), [math.nan, 0.0, 1.0],
+                              equal_nan=True)
+        assert np.array_equal(smooth_bump(odd, t0, t1), [math.nan, 0.0, 0.0],
+                              equal_nan=True)
+        assert math.isnan(smooth_step(math.nan, t0, t1))
+        assert math.isnan(smooth_bump(math.nan, t0, t1))
+        assert smooth_step(-math.inf, t0, t1) == 0.0
+        assert smooth_step(math.inf, t0, t1) == 1.0
+        assert smooth_bump(math.inf, t0, t1) == 0.0
+        assert smooth_bump(-math.inf, t0, t1) == 0.0
+
+
+def _drives(monkeypatch) -> list:
+    """The drives the CLI builds: a battery pulse's swept angle, the
+    snowplow's xi and the four angles of the custom model."""
+    drives = []
+    capture = lambda *args, **kwargs: drives.extend(
+        a for a in (*args, *kwargs.values()) if callable(a))
+    monkeypatch.setitem(models._SWEPT_ANGLE, "battery", (capture, "phi"))
+    monkeypatch.setattr(models, "make_snowplow_cycle", capture)
+    monkeypatch.setattr(models, "make_custom_two_channel", capture)
+    cli.build_pulse({"pulse": {"kind": "battery", "window": [0.0, 10.0]}}, 0)
+    models.make_pump(qp.ModelSpec("snowplow"))
+    models.make_pump(qp.ModelSpec("custom-two-channel",
+                                  {"theta_amp": 0.3, "phi_amp": 1.0}))
+    return drives
+
+
+def test_cli_drives_run_on_arrays(monkeypatch):
+    drives = _drives(monkeypatch)
+    assert len(drives) == 6
+    ts = np.linspace(-1.0, 11.0, 24).reshape(4, 6)
+    for drive in drives:
+        got = drive(ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        want = [drive(float(t)) for t in ts.ravel()]
+        assert np.allclose(got.ravel(), want, rtol=1e-15, atol=1e-15)
 
 
 def test_random_cycle_flat_bottom_option():

@@ -7,8 +7,10 @@ energy profile), the Fermi energy and the temperature (zero or
 charge sum rule also draws whole turns of a global phase.  The
 zero-temperature shot noise is held to a dense O(N^2) copy of its
 double sum on random and battery pulses, and to zero on the noiseless
-pumps.  The draws are derandomized, so a run is reproducible and a
-failure names its example.
+pumps; on battery pulses whose phase turns n whole times, ramping and
+turning back, it stays above the minimal-excitation bound.  The draws
+are derandomized, so a run is reproducible and a failure names its
+example.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import qpump as qp
 from qpump.counting import _simpson
+from qpump.models import smooth_bump
 from qpump.quadrature import TWO_PI
 from qpump.smatrix import point_evaluator, stencil
 from qpump.transport import _row_weights
@@ -222,3 +225,43 @@ def test_noiseless_pumps_have_no_zero_t_shot_noise(cycle, channel, q):
     # identically and what is left is rounding
     for spec in (q, Q):
         assert abs(qp.shot_noise_zero_t(cycle, channel, 1.0, spec)) <= 1e-13
+
+
+def _turning_phase(turns: int, ramp: tuple[float, float], bumps: list):
+    """2 pi turns smooth_step(t, *ramp) plus amplitude x smooth_bump(t, a, b)
+    for each (amplitude, a, b) of `bumps`: it may turn back, and it ends
+    at 2 pi turns."""
+    def phase(t):
+        return turns * TWO_PI * qp.smooth_step(t, *ramp) + sum(
+            amp * smooth_bump(t, a, b) for amp, a, b in bumps)
+    return phase
+
+
+# (amplitude, start, end) of up to three bumps: centre and half-width
+# drawn, clipped to the window (0, 10)
+bump_lists = st.lists(
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(1.0, 9.0),
+              st.floats(0.5, 2.0)).map(
+        lambda b: (b[0], max(0.0, b[1] - b[2]), min(10.0, b[1] + b[2]))),
+    max_size=3)
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.floats(0.2, 1.4), st.sampled_from([-2, -1, 1, 2]),
+       st.floats(0.0, 4.0), st.floats(2.0, 6.0), bump_lists)
+def test_zero_t_shot_noise_obeys_the_minimal_excitation_bound(
+        theta, turns, start, width, bumps):
+    # the battery row gives B(t, t') = c^2 s^2 |f(t) - f(t')|^2 with
+    # f = e^{i phi}, so the variance is c^2 s^2 times the number of
+    # electrons plus holes the phase excites, and electrons minus holes
+    # is the winding: at least |n| c^2 s^2, reached only by Lorentzian
+    # pulses (Levitov, Lee & Lesovik 1996; Keeling, Klich & Levitov 2006)
+    window = (0.0, 10.0)
+    cycle = qp.make_battery_cycle(
+        qp.TwoChannelParams(theta=theta),
+        _turning_phase(turns, (start, start + width), bumps), window=window)
+    bound = abs(turns) * (math.cos(theta) * math.sin(theta)) ** 2
+    # a tenth of the default time step: at the default, the Hermitization
+    # budget refuses some draws where a bump turns the ramp back
+    q = replace(Q, h_t_rel=1e-6)
+    assert qp.shot_noise_zero_t(cycle, 0, 1.0, q) >= bound * (1.0 - 1e-9)
