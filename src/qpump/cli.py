@@ -41,8 +41,9 @@ from .classical import (PlowSpec, partition_disagreements, plow_charge_bpt,
 from .models import MODEL_KINDS, ModelSpec, make_pump
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import PumpCycle, TwoChannelParams
-from .transport import (ThermalState, birman_krein_residual, bpt_current,
-                        cycle_charge, dissipation_current, transport_report)
+from .transport import (ThermalState, _midpoint_charge, birman_krein_residual,
+                        bpt_current, cycle_charge, dissipation_current,
+                        transport_report)
 
 
 # ---------------------------------------------------------------------------
@@ -307,24 +308,24 @@ def cmd_geometry(args) -> int:
     channel = args.channel
     _flags(args, geometry._check_channel, {"cycle": cycle}, channel="channel")
 
-    bpt = cycle_charge(cycle, ThermalState(mu=state.mu), q)
-    angle_charge = geometry.charge_from_global_angle(cycle, channel,
-                                                     state.mu, q)
+    geometry._period_times(cycle, q)    # the loop formulas need a period
+    # the rows of the loop are the centre samples of the charge's stencil
+    bpt, _, (_, at_mu) = _midpoint_charge(cycle, ThermalState(mu=state.mu),
+                                          q, mu=state.mu)
+    rows = at_mu[:, channel]
     results = {
         "model": cycle.label,
         "mu": state.mu,
         "channel": channel,
         "bpt_charge": float(bpt[channel]),
-        "global_angle_charge": angle_charge,
+        "global_angle_charge": geometry._loop_charge(rows),
     }
     try:
-        results["winding"] = geometry.amplitude_winding(cycle, channel,
-                                                        state.mu, q)
+        results["winding"] = geometry._loop_winding(rows, channel)
     except PhaseUnwrapFailure:
         results["winding"] = None   # amplitude wanders or vanishes
     if cycle.n_channels == 2:
-        results["fractional_charge"] = geometry.fractional_charge(
-            cycle, channel, state.mu, q)
+        results["fractional_charge"] = geometry._loop_fraction(rows)
 
     _emit_summary(args, results,
                   {"model": cycle.label, "mu": state.mu, "channel": channel})

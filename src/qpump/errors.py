@@ -52,7 +52,8 @@ class NonPulseCycle(PumpError, exit_code=4):
 
 
 class EnergyAtBandEdge(PumpError, exit_code=4):
-    """Energy coincides with a potential plateau; local wavenumber vanishes."""
+    """Energy on a potential plateau, where the local wavenumber vanishes,
+    or at or below the leads' band bottom E = 0."""
 
 
 class MaxEventsExceeded(PumpError, exit_code=5):

@@ -13,7 +13,9 @@ two channels, from the solid angle swept on the Bloch sphere by the
 phase-invariant image of the row (fraction of a charge mod 1).
 
 All discrete formulas use gauge-invariant overlap products, so no phase
-fixing of the sampled states is ever needed.
+fixing of the sampled states is ever needed.  The rows of S are also a
+continuous section, which `cylinder_charge` holds to Luscher's
+admissibility rule (`_check_admissible`).
 """
 
 from __future__ import annotations
@@ -80,12 +82,21 @@ def _period_times(cycle: PumpCycle, q: QuadratureSpec) -> np.ndarray:
     return cycle.time_grid(q.n_time)[0]
 
 
+def _period_rows(cycle: PumpCycle, channel: int, mu: float,
+                 q: QuadratureSpec) -> np.ndarray:
+    """Rows of S(mu, t) at the time nodes of one period."""
+    return row_states(cycle, channel, mu, _period_times(cycle, q))
+
+
 def charge_from_global_angle(cycle: PumpCycle, channel: int, mu: float,
                              q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge of a periodic cycle from the row loop at E = mu."""
-    times = _period_times(cycle, q)
-    states = row_states(cycle, channel, mu, times)
-    return -global_angle(states) / TWO_PI
+    return _loop_charge(_period_rows(cycle, channel, mu, q))
+
+
+def _loop_charge(rows: np.ndarray) -> float:
+    """`charge_from_global_angle` from the rows of one period."""
+    return -global_angle(rows) / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +111,7 @@ def plaquette_phases(grid: np.ndarray, wrap_u: bool = False,
     +-pi mean the discretization cannot resolve the curvature; a flux
     that wraps past them to a small value gives a Stokes residual 2 pi k.
     """
-    grid = np.asarray(grid)
-    if grid.ndim != 3:
-        raise ValueError("need a (nu, nv, dim) array of states")
-    # a wrapped axis closes through a copy of its first row or column
-    if wrap_u:
-        grid = np.concatenate([grid, grid[:1]], axis=0)
-    if wrap_v:
-        grid = np.concatenate([grid, grid[:, :1]], axis=1)
+    grid = _closed(grid, wrap_u, wrap_v)
     p00 = grid[:-1, :-1]
     p10 = grid[1:, :-1]
     p11 = grid[1:, 1:]
@@ -119,6 +123,40 @@ def plaquette_phases(grid: np.ndarray, wrap_u: bool = False,
         raise GridTooCoarse(
             "plaquette phase close to half a turn; refine the patch")
     return chi
+
+
+def _closed(grid: np.ndarray, wrap_u: bool, wrap_v: bool) -> np.ndarray:
+    """A (nu, nv, dim) patch of states with each wrapped axis closed
+    through a copy of its first row or column."""
+    grid = np.asarray(grid)
+    if grid.ndim != 3:
+        raise ValueError("need a (nu, nv, dim) array of states")
+    if wrap_u:
+        grid = np.concatenate([grid, grid[:1]], axis=0)
+    if wrap_v:
+        grid = np.concatenate([grid, grid[:, :1]], axis=1)
+    return grid
+
+
+def _check_admissible(grid: np.ndarray, wrap_u: bool = False,
+                      wrap_v: bool = False) -> None:
+    """GridTooCoarse unless every plaquette's four wrapped link angles, in
+    the states' own gauge, sum to less than pi in magnitude (Luscher,
+    Commun. Math. Phys. 85, 39 (1982)).
+
+    For a continuous section, such as the rows of S, this catches a phase
+    that winds by 2 pi inside one plaquette, around a zero of a
+    component: the overlaps of `plaquette_phases` cannot see it, and a
+    closed surface would read a Chern number where the section forces 0.
+    """
+    grid = _closed(grid, wrap_u, wrap_v)
+    du = np.angle(_links(grid[:-1], grid[1:]))
+    dv = np.angle(_links(grid[:, :-1], grid[:, 1:]))
+    own = du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]
+    # written so that NaN fails too
+    if not np.all(np.abs(own) < math.pi):
+        raise GridTooCoarse("a plaquette's own link angles sum to half a "
+                            "turn or more; refine the grid")
 
 
 def surface_flux(grid: np.ndarray, wrap_u: bool = False,
@@ -156,10 +194,9 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
 
     Fourier sums of mode numbers 1 and 2 (amplitude 0.6 / (m n)) with a
     constant offset keep the vectors away from zero before normalization.
-    A draw that comes near zero at a node, that `plaquette_phases`
-    refuses, or that has a plaquette whose four wrapped link angles (in
-    the normalized gauge) sum to half a turn or more, is unresolved on
-    the grid and drawn again.
+    A draw that comes near zero at a node, or that `plaquette_phases` or
+    `_check_admissible` (in the normalized gauge) refuses, is unresolved
+    on the grid and drawn again.
     """
     u = np.linspace(0.0, 1.0, 24)[:, None, None]
     v = np.linspace(0.0, 1.0, 24)[None, :, None]
@@ -179,11 +216,8 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = vec / norms
     try:
         plaquette_phases(vec)
+        _check_admissible(vec)
     except GridTooCoarse:
-        return random_smooth_patch(rng, dim)
-    du = np.angle(_links(vec[:-1], vec[1:]))
-    dv = np.angle(_links(vec[:, :-1], vec[:, 1:]))
-    if np.any(np.abs(du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]) >= math.pi):
         return random_smooth_patch(rng, dim)
     return vec
 
@@ -198,7 +232,8 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     Valid when the frozen matrix is constant in time at the band bottom
     (the zero-energy boundary loop then carries no angle); this is
     checked and a ValueError raised otherwise.  The energy grid includes
-    both ends, the time grid wraps periodically.
+    both ends, the time grid wraps periodically.  The rows are held to
+    `_check_admissible`.
     """
     times = _period_times(cycle, q)
     _check_channel(cycle, channel)
@@ -214,6 +249,7 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
         raise ValueError(
             "frozen matrix moves at zero energy (drift "
             f"{drift:.2e}); cylinder flux does not equal the charge")
+    _check_admissible(grid, wrap_v=True)
     return -surface_flux(grid, wrap_u=False, wrap_v=True) / TWO_PI
 
 
@@ -245,8 +281,12 @@ def amplitude_winding(cycle: PumpCycle, channel: int, mu: float,
     For deterministic (fully reflecting or chiral) matrices the pumped
     charge is minus this integer.
     """
-    times = _period_times(cycle, q)
-    return winding_number(row_states(cycle, channel, mu, times)[:, channel])
+    return _loop_winding(_period_rows(cycle, channel, mu, q), channel)
+
+
+def _loop_winding(rows: np.ndarray, channel: int) -> int:
+    """`amplitude_winding` from the rows of one period."""
+    return winding_number(rows[:, channel])
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +344,9 @@ def fractional_charge(cycle: PumpCycle, channel: int, mu: float,
                       q: QuadratureSpec = QuadratureSpec()) -> float:
     """Pumped charge modulo 1 from the solid angle / 4 pi that the row
     image sweeps on the sphere over one period."""
-    path = hopf_vector(row_states(cycle, channel, mu,
-                                  _period_times(cycle, q)))
-    return spherical_polygon_area(path) / (2.0 * TWO_PI)
+    return _loop_fraction(_period_rows(cycle, channel, mu, q))
+
+
+def _loop_fraction(rows: np.ndarray) -> float:
+    """`fractional_charge` from the rows of one period."""
+    return spherical_polygon_area(hopf_vector(rows)) / (2.0 * TWO_PI)

@@ -13,9 +13,10 @@ array, and the matrices of the whole grid are built by broadcasting;
 their point `evaluate` is the 1 x 1 grid.  Potential models build S(E)
 for piecewise-constant potentials by a transfer-matrix product, one
 kernel, `transfer_matrices`, over a whole stack of potentials and
-energies; the bicycle pump (two valve barriers seesawing around a piston
-plateau) is the workhorse example of quantized transport.  Its S, too,
-is implemented only as `evaluate_grid`: its path and the kernel each run
+energies, elementwise on the four entries of the running matrix; the
+bicycle pump (two valve barriers seesawing around a piston plateau) is
+the workhorse example of quantized transport.  Its S, too, is
+implemented only as `evaluate_grid`: its path and the kernel each run
 once per grid, on arrays.  So are the random cycles and pulses, one
 batched `eigh` per grid: every built-in cycle implements S once, as a grid.
 """
@@ -119,10 +120,12 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
     their analytic limit (t underflows to 0, |r| -> 1).  Fiducial points
     sit at the first and last breakpoints.  Channel 1 is the left lead,
     channel 2 the right lead; every energy must exceed both lead
-    potentials (zero).  An energy within 1e-12 of a plateau of its row
-    is nudged by 1e-10 to avoid the band-edge singularity of the
-    matching conditions.  Each 2 x 2 product is a stacked `np.matmul`,
-    so a row equals its one-point call bit for bit.
+    potentials (zero), else EnergyAtBandEdge.  An energy within 1e-12 of
+    a plateau of its row is nudged by 1e-10 to avoid the band-edge
+    singularity of the matching conditions.  The running transfer
+    matrix is held as its four entries, each a (P,) array, and every
+    step is elementwise arithmetic on them, so a row equals its
+    one-point call bit for bit.
     """
     values = np.asarray(values, dtype=float)
     widths = np.asarray(widths, dtype=float)
@@ -131,7 +134,7 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
             or values.shape != (energies.size, widths.size):
         raise ValueError("need values (P, L), widths (L,) and energies (P,)")
     if (energies <= 0.0).any():
-        raise ValueError("energy must be positive (leads are at V = 0)")
+        raise EnergyAtBandEdge("energy must be positive (leads are at V = 0)")
     near = (np.abs(energies[:, None] - values) < 1e-12).any(axis=1)
     if near.any():
         energies = np.where(near, energies + 1e-10, energies)
@@ -140,44 +143,42 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
             raise EnergyAtBandEdge("energy pinned to a plateau value")
 
     k_lead = np.sqrt(2.0 * energies).astype(np.complex128)
-    m = np.zeros((energies.size, 2, 2), dtype=np.complex128)
-    m[:, 0, 0] = m[:, 1, 1] = 1.0
-    diag = np.zeros_like(m)
+    m00 = m11 = np.ones(energies.size, dtype=np.complex128)
+    m01 = m10 = np.zeros(energies.size, dtype=np.complex128)
     log_scale = np.zeros(energies.size)
     k_prev = k_lead
     for v, w in zip(values.T, widths):
         k = np.sqrt((2.0 * (energies - v)).astype(np.complex128))
-        m = _interfaces(k_prev, k) @ m
+        m00, m01, m10, m11 = _match(k_prev / k, m00, m01, m10, m11)
         phase = 1j * k * w
         opaque = phase.real < -700.0       # opaque segment: clamp the decay
         phase.real[opaque] = -700.0
-        diag[:, 0, 0] = np.exp(phase)
-        diag[:, 1, 1] = np.exp(-phase)
-        m = diag @ m
+        grow, decay = np.exp(phase), np.exp(-phase)
+        m00, m01, m10, m11 = grow * m00, grow * m01, decay * m10, decay * m11
         k_prev = k
-        top = np.abs(m).max(axis=(1, 2))
+        top = np.maximum(np.maximum(np.abs(m00), np.abs(m01)),
+                         np.maximum(np.abs(m10), np.abs(m11)))
         big = top > 1e100
         if big.any():
-            m[big] /= top[big, None, None]
+            for entry in (m00, m01, m10, m11):
+                entry[big] /= top[big]
             log_scale[big] += np.log(top[big])
-    m = _interfaces(k_prev, k_lead) @ m
+    _, m01, m10, m11 = _match(k_prev / k_lead, m00, m01, m10, m11)
 
-    s = np.empty_like(m)
-    s[:, 0, 0] = -m[:, 1, 0] / m[:, 1, 1]
+    s = np.empty((energies.size, 2, 2), dtype=np.complex128)
+    s[:, 0, 0] = -m10 / m11
     s[:, 0, 1] = s[:, 1, 0] = np.where(log_scale < 700.0,
-                                       np.exp(-log_scale) / m[:, 1, 1], 0.0)
-    s[:, 1, 1] = m[:, 0, 1] / m[:, 1, 1]
+                                       np.exp(-log_scale) / m11, 0.0)
+    s[:, 1, 1] = m01 / m11
     _check_unitary(s, TRANSFER_UNITARITY_TOL)
     return s
 
 
-def _interfaces(k_from: np.ndarray, k_to: np.ndarray) -> np.ndarray:
-    """Matching matrices of a stack of steps k_from -> k_to: (P, 2, 2)."""
-    ratio = k_from / k_to
-    out = np.empty((ratio.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = out[:, 1, 1] = 1.0 + ratio
-    out[:, 0, 1] = out[:, 1, 0] = 1.0 - ratio
-    return 0.5 * out
+def _match(ratio, m00, m01, m10, m11):
+    """Entries of 0.5 [[1 + r, 1 - r], [1 - r, 1 + r]] m, r = k_from / k_to."""
+    a, b = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
+    return (a * m00 + b * m10, a * m01 + b * m11,
+            b * m00 + a * m10, b * m01 + a * m11)
 
 
 # ---------------------------------------------------------------------------

@@ -154,13 +154,17 @@ def _thermal_rates(cycle: PumpCycle, times, energies: np.ndarray,
     """Charge and dissipation currents at `times`, shape (N, n) each, and
     when `mu` is given, the off-diagonal row weight of the shift, (N, n),
     and the matrices themselves, (N, n, n), at mu from the same stencil;
-    None without it."""
-    nodes = energies if mu is None else np.append(energies, mu)
+    None without it.  mu is added as a node only if it is not one."""
+    nodes = energies
+    if mu is not None and mu not in energies:
+        nodes = np.append(energies, mu)
     st = stencil(cycle, nodes, times, q)
     diag, rows, off = _row_weights(st.shift)
     m = mass.size
-    at_mu = (None if mu is None
-             else (off[:, -1], np.array(st.samples[0][:, -1])))
+    at_mu = None
+    if mu is not None:
+        j = np.flatnonzero(nodes == mu)[0]
+        at_mu = off[:, j], np.array(st.samples[0][:, j])
     return (_thermal_average(diag[:, :m], mass) / TWO_PI,
             _thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
             at_mu)

@@ -92,6 +92,37 @@ def test_geometry_routes_agree_on_quantized_charge(tmp_path, capsys):
     assert summary["fractional_charge"] == 0.0
 
 
+@pytest.mark.parametrize("channel", [0, 1])
+@pytest.mark.parametrize("model", [
+    pytest.param({"kind": "bicycle"}, id="bicycle-L1"),
+    pytest.param({"kind": "bicycle", "params": {"length": 1.37}},
+                 id="bicycle-L1.37"),
+    pytest.param({"kind": "battery", "params": {"theta": 0.9}},
+                 id="battery"),
+])
+def test_geometry_prints_the_library_answers(tmp_path, capsys, model,
+                                             channel):
+    # the command takes its rows from the charge's stencil; the library
+    # samples them on their own, and the answers are equal bit for bit
+    cfg = _write(tmp_path, "model.json", {"model": model})
+    assert cli.main(["geometry", "--config", cfg,
+                     "--channel", str(channel)]) == 0
+    summary = _json_out(capsys)["summary"]
+    cycle, q = cli.build_model({"model": model}), QuadratureSpec()
+    mu = summary["mu"]
+    assert summary["bpt_charge"] == float(
+        cli.cycle_charge(cycle, cli.ThermalState(mu=mu), q)[channel])
+    assert summary["global_angle_charge"] == \
+        geometry.charge_from_global_angle(cycle, channel, mu, q)
+    try:
+        winding = geometry.amplitude_winding(cycle, channel, mu, q)
+    except errors.PhaseUnwrapFailure:
+        winding = None
+    assert summary["winding"] == winding
+    assert summary["fractional_charge"] == \
+        geometry.fractional_charge(cycle, channel, mu, q)
+
+
 def test_noise_zero_t_reports_the_shot_integral(tmp_path, capsys):
     code = cli.main(["noise", "--config", _pulse_cfg(tmp_path), "--zero-t"])
     assert code == 0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qpump as qp
+from qpump import geometry
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -202,3 +203,42 @@ def test_cylinder_charge_band_edge_and_channel_errors():
     for channel in (-1, 2):
         with pytest.raises(ValueError, match="channel"):
             qp.cylinder_charge(cyc, channel, 1.0, q)
+
+
+def test_cylinder_charge_on_the_bicycle_refuses_the_band_bottom():
+    # the bicycle's S is undefined at E = 0, where the sweep starts
+    with pytest.raises(qp.RegionTouchesDiscontinuity):
+        qp.cylinder_charge(qp.make_bicycle_cycle(), 0, 1.0, Q)
+
+
+def _torus_rows(n: int) -> np.ndarray:
+    """Rows of channel 0 at E = 1 of three plateaus, widths 0.7, 1.3 and
+    0.7, heights 1.5 + 3 cos u, 1.5 + 3 sin(u + v) and 1.5 + 3 cos v,
+    on an n x n grid of the (u, v) torus."""
+    u, v = np.meshgrid(TWO_PI * np.arange(n) / n, TWO_PI * np.arange(n) / n,
+                       indexing="ij")
+    heights = 1.5 + 3.0 * np.stack([np.cos(u), np.sin(u + v), np.cos(v)],
+                                   axis=-1)
+    s = qp.transfer_matrices(heights.reshape(-1, 3), np.array([0.7, 1.3, 0.7]),
+                             np.ones(n * n))
+    return s[:, 0, :].reshape(n, n, 2)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_admissibility_refuses_a_winding_the_overlaps_hide(n):
+    # S_00 has an isolated zero on the torus; on these grids its phase
+    # winds by 2 pi inside one plaquette, which the gauge-invariant
+    # overlaps cannot see: they read a Chern number of -1
+    rows = _torus_rows(n)
+    assert abs(qp.surface_flux(rows, wrap_u=True, wrap_v=True) / TWO_PI
+               + 1.0) < 1e-9
+    with pytest.raises(qp.GridTooCoarse):
+        geometry._check_admissible(rows, wrap_u=True, wrap_v=True)
+
+
+def test_rows_over_a_closed_surface_carry_no_chern_number():
+    # the row of S is a smooth single-valued section over the torus, so
+    # its Chern number vanishes once the grid resolves it
+    rows = _torus_rows(256)
+    geometry._check_admissible(rows, wrap_u=True, wrap_v=True)
+    assert abs(qp.surface_flux(rows, wrap_u=True, wrap_v=True)) < 1e-12

@@ -126,7 +126,7 @@ def test_transfer_matrix_opaque_and_band_edge():
     s = qp.transfer_matrix_smatrix(pot, 1.0)
     assert abs(s[1, 0]) < 1e-30           # deep tunnelling underflows to 0
     assert abs(abs(s[0, 0]) - 1.0) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.EnergyAtBandEdge):
         qp.transfer_matrix_smatrix(pot, 0.0)   # below the lead band
     # an energy pinned between two plateau values cannot be nudged free
     twin = qp.PiecewisePotential(edges=np.array([0.0, 1.0, 2.0]),
@@ -159,6 +159,73 @@ def test_transfer_matrix_batch_rows_match_point_calls():
     pinned = np.vstack([values, [1.0, 1.0 + 1e-10]])
     with pytest.raises(qp.EnergyAtBandEdge):
         qp.transfer_matrices(pinned, np.diff(edges), np.append(energies, 1.0))
+
+
+def _matmul_chain(values, widths, energy: float) -> np.ndarray:
+    """S of one potential as a plain chain of 2 x 2 `@` products, with
+    the kernel's nudge, opaque clamp and rescaling written out again."""
+    if np.any(np.abs(energy - values) < 1e-12):
+        energy += 1e-10
+
+    def step(k_from, k_to):
+        r = k_from / k_to
+        return 0.5 * np.array([[1 + r, 1 - r], [1 - r, 1 + r]])
+
+    k_lead = np.sqrt(complex(2.0 * energy))
+    m, log_scale, k_prev = np.eye(2, dtype=complex), 0.0, k_lead
+    for v, w in zip(values, widths):
+        k = np.sqrt(complex(2.0 * (energy - v)))
+        phase = 1j * k * w
+        phase = complex(max(phase.real, -700.0), phase.imag)
+        m = step(k_prev, k) @ m
+        m = np.diag([np.exp(phase), np.exp(-phase)]) @ m
+        k_prev = k
+        top = np.abs(m).max()
+        if top > 1e100:
+            m, log_scale = m / top, log_scale + math.log(top)
+    m = step(k_prev, k_lead) @ m
+    t = math.exp(-log_scale) / m[1, 1] if log_scale < 700.0 else 0.0
+    return np.array([[-m[1, 0] / m[1, 1], t], [t, m[0, 1] / m[1, 1]]])
+
+
+def test_transfer_matrices_match_a_plain_matmul_chain():
+    # 200 seeded random potentials of 1 to 4 plateaus; some rows are
+    # opaque (clamped), some rescaled and some sit on a plateau (nudged).
+    # Rounding enters the matching steps amplified by their largest
+    # ratio r = |k_from / k_to|, about 1e5 past a nudge, so the bound is
+    # 1e-12 or 10 eps r, whichever is larger.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261019)
+    kinds = {"opaque": 0, "rescaled": 0, "nudged": 0}
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        widths = rng.uniform(0.05, 3.0, n)
+        values = rng.uniform(-2.0, 6.0, n)
+        energy = float(rng.uniform(0.05, 5.0))
+        pick = rng.integers(4)
+        if pick == 1:                     # a first barrier past the clamp
+            # (after a plateau that grows the running matrix, the
+            # clamped exp(700) overflows, in the reference too)
+            values[0] = 1e5
+            widths[:] = rng.uniform(3.0, 5.0, n)
+        elif pick == 2:                   # tall but not opaque barriers
+            values[:] = rng.uniform(50.0, 400.0, n)
+            widths[:] = rng.uniform(4.0, 12.0, n)
+        elif pick == 3:                   # the energy on a plateau
+            values[rng.integers(n)] = energy
+        s = qp.transfer_matrices(values[None], widths,
+                                 np.array([energy]))[0]
+        ref = _matmul_chain(values, widths, energy)
+        nudge = 1e-10 if pick == 3 else 0.0
+        k = np.abs(np.sqrt(2.0 * (energy + nudge - np.pad(values, 1))
+                           + 0j))
+        r = np.max(np.maximum(k[1:] / k[:-1], k[:-1] / k[1:]))
+        assert np.max(np.abs(s - ref)) < max(1e-12, 10.0 * eps * r)
+        decay = np.sqrt(2.0 * np.maximum(values - energy, 0.0)) * widths
+        kinds["opaque"] += bool(np.any(decay > 700.0))
+        kinds["rescaled"] += bool(np.sum(decay) > math.log(1e100))
+        kinds["nudged"] += bool(pick == 3)
+    assert min(kinds.values()) >= 20
 
 
 def test_uturn_matrix_form():

@@ -31,7 +31,7 @@ CASES = {
         1_576, None),
     "geometry-bicycle": (
         "geometry", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
-        3_072, None),
+        1_536, None),
     "noise-zero-t": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0}},
         ["--grid", "64", "--zero-t"], 3_271, None),
