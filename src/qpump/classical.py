@@ -18,7 +18,6 @@ the inverse map for free.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -215,18 +214,12 @@ def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
 # ---------------------------------------------------------------------------
 # pumped charge at zero temperature, two ways
 
-@functools.cache
-def _scipy_brentq():
-    # loaded on first use, since scipy would be most of `import qpump`;
-    # cached, since an import statement per root costs more than a call
-    from scipy.optimize import brentq as solver
-    return solver
-
-
 # unused by the package: the benchmark tracer's `classical.root` site reads it
 def brentq(f, a: float, b: float, xtol: float) -> float:
-    """scipy.optimize.brentq, loaded on the first call."""
-    return _scipy_brentq()(f, a, b, xtol=xtol)
+    """scipy.optimize.brentq, imported at the call, since scipy would be
+    most of `import qpump`."""
+    from scipy.optimize import brentq as solver
+    return solver(f, a, b, xtol=xtol)
 
 
 def classical_energy_shift(spec: PlowSpec, energy_out: float, time_out: float,

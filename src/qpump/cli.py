@@ -41,7 +41,7 @@ from .classical import (PlowSpec, partition_disagreements, plow_charge_bpt,
 from .models import MODEL_KINDS, ModelSpec, make_pump
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import PumpCycle, TwoChannelParams
-from .transport import (ThermalState, _midpoint_charge, birman_krein_residual,
+from .transport import (ThermalState, _sweep, birman_krein_residual,
                         bpt_current, cycle_charge, dissipation_current,
                         transport_report)
 
@@ -309,15 +309,14 @@ def cmd_geometry(args) -> int:
     _flags(args, geometry._check_channel, {"cycle": cycle}, channel="channel")
 
     geometry._period_times(cycle, q)    # the loop formulas need a period
-    # the rows of the loop are the centre samples of the charge's stencil
-    bpt, _, (_, at_mu) = _midpoint_charge(cycle, ThermalState(mu=state.mu),
-                                          q, mu=state.mu)
-    rows = at_mu[:, channel]
+    # the rows of the loop are the centre samples of the charge's sweep
+    sw = _sweep(cycle, ThermalState(mu=state.mu), q)
+    rows = sw.s_mu[:, channel]
     results = {
         "model": cycle.label,
         "mu": state.mu,
         "channel": channel,
-        "bpt_charge": float(bpt[channel]),
+        "bpt_charge": float((sw.charge.sum(axis=0) * sw.dt)[channel]),
         "global_angle_charge": geometry._loop_charge(rows),
     }
     try:

@@ -24,9 +24,8 @@ import numpy as np
 from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
 from .quadrature import QuadratureSpec, gauss_legendre
-from .smatrix import PumpCycle, stencil
-from .transport import (ThermalState, _midpoint_charge, _offdiag,
-                        _row_weights, _window_rates, cycle_charge)
+from .smatrix import PumpCycle
+from .transport import ThermalState, _sweep, _window_rates, cycle_charge
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
 SETTLE_TOL = 1e-6
@@ -106,9 +105,8 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
     if state.temperature == 0.0:
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     _window(cycle)
-    times, dt = cycle.time_grid(q.n_time)
-    return _shot_from_offdiag(_offdiag(cycle, state.mu, times, q)[:, channel],
-                              state, dt)
+    sw = _sweep(cycle, ThermalState(mu=state.mu), q)
+    return _shot_from_offdiag(sw.off[:, channel], state, sw.dt)
 
 
 def _shot_from_offdiag(offdiag: np.ndarray, state: ThermalState,
@@ -163,11 +161,9 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     times, weights = _simpson(t0, t1, q.n_shot_time)
     n = times.size
 
-    # one stencil at the nodes gives the rows and the near-band limits
-    st = stencil(cycle, mu, times, q)
-    rows = np.array(st.samples[0][:, 0, channel])
-    off = np.array(_row_weights(st.shift)[2][:, 0, channel])
-    del st    # frees the samples before the FFT work
+    # one sweep at the nodes gives the rows and the near-band limits
+    sw = _sweep(cycle, ThermalState(mu=mu), q, times)
+    rows, off = sw.s_mu[:, channel], sw.off[:, channel]
 
     proj = rows[:, :, None] * rows[:, None, :].conj()
     d = proj - proj[0]
@@ -266,10 +262,10 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                  include_direct: bool = False) -> NoiseReport:
     """Mean and variance of the pumped charge through one pulse.
 
-    At finite temperature the stencil of the mean also gives the
-    matrices and the off-diagonal weight at mu for the thermal and shot
-    parts, and the thermal part is shared with the direct cumulant, so
-    each is sampled once.
+    At finite temperature the sweep of the mean also gives the matrices
+    and the off-diagonal weight at mu for the thermal and shot parts,
+    and the thermal part is shared with the direct cumulant, so each is
+    sampled once.
     """
     _check_channel(cycle, channel)
     if state.temperature == 0.0 and include_direct:
@@ -280,10 +276,10 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
         return NoiseReport(channel=channel, temperature=0.0, mean=float(mean),
                            thermal=0.0, shot=shot, total=shot)
     _window(cycle)
-    charge, dt, (off, at_mu) = _midpoint_charge(cycle, state, q, mu=state.mu)
-    mean = charge[channel]
-    thermal = _thermal_from_diag(at_mu[:, channel, channel], state, dt)
-    shot = _shot_from_offdiag(off[:, channel], state, dt)
+    sw = _sweep(cycle, state, q)
+    mean = (sw.charge.sum(axis=0) * sw.dt)[channel]
+    thermal = _thermal_from_diag(sw.s_mu[:, channel, channel], state, sw.dt)
+    shot = _shot_from_offdiag(sw.off[:, channel], state, sw.dt)
     direct = (thermal + _direct_double(cycle, channel, state, q)
               if include_direct else None)
     return NoiseReport(channel=channel, temperature=state.temperature,

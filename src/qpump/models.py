@@ -33,7 +33,8 @@ from .errors import EnergyAtBandEdge
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import (PumpCycle, TwoChannelParams, _check_unitary,
                       build_two_channel, default_dispersion, point_evaluator,
-                      stencil, two_channel_matrices)
+                      two_channel_matrices)
+from .transport import ThermalState, bpt_current
 
 # worst |S S^dagger - 1| accepted from `transfer_matrix_smatrix`
 TRANSFER_UNITARITY_TOL = 1e-9
@@ -154,6 +155,9 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
         opaque = phase.real < -700.0       # opaque segment: clamp the decay
         phase.real[opaque] = -700.0
         grow, decay = np.exp(phase), np.exp(-phase)
+        if opaque.any():    # e^700 goes to log_scale: entries would overflow
+            grow[opaque], decay[opaque] = 0.0, 1.0
+            log_scale[opaque] += 700.0
         m00, m01, m10, m11 = grow * m00, grow * m01, decay * m10, decay * m11
         k_prev = k
         top = np.maximum(np.maximum(np.abs(m00), np.abs(m01)),
@@ -523,8 +527,7 @@ def galilean_check(base: TwoChannelParams, k_f: float, xi_dot: float,
     """
     mu = 0.5 * k_f ** 2
     cycle = make_snowplow_cycle(base, xi=lambda t: xi_dot * t)
-    shift = stencil(cycle, mu, 0.0, q).shift[0, 0]
-    bpt = float(shift[0, 0].real) / TWO_PI
+    bpt = float(bpt_current(cycle, 0.0, ThermalState(mu=mu), q)[0])
     galilean = -2.0 * k_f * xi_dot * math.cos(base.theta) ** 2 / TWO_PI
     return GalileanCheck(bpt_value=bpt, galilean_value=galilean,
                          residual=abs(bpt - galilean))

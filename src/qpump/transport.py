@@ -7,9 +7,10 @@ dissipation current averages the squared matrix instead, and the excess
 over the charge bound comes from the off-diagonal row weight, which also
 feeds the entropy and noise currents at finite temperature.
 
-Each function takes the shift once per node of one (times x energies)
-grid from the stencil kernel and derives every current from it; the
-thermal nodes are built once per call.
+Every current and cycle integral reads one `_Sweep`, a single stencil
+of the shift over a time grid and the thermal nodes with mu last; its
+row weight and S at mu also give the pulse noise of `counting` and the
+loop rows of `qpump geometry`.  The sum rule has its own stencil.
 """
 
 from __future__ import annotations
@@ -142,32 +143,42 @@ def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                  for a in (diag, rows, rows - diag ** 2))
 
 
-def _offdiag(cycle: PumpCycle, mu: float, times,
-             q: QuadratureSpec) -> np.ndarray:
-    """Off-diagonal row weight of the energy shift at mu, shape (N, n)."""
-    return _row_weights(stencil(cycle, mu, times, q).shift)[2][:, 0]
+@dataclass(frozen=True)
+class _Sweep:
+    """The energy shift of a cycle sampled once over times x energies.
+
+    `charge` and `heat` are the charge and dissipation currents at
+    `times`, shape (N, n); `off` is the off-diagonal row weight of the
+    shift at mu, (N, n), and `s_mu` a copy of S(mu, t), (N, n, n).  `dt`
+    is the step of the cycle's midpoint grid, None for given times.
+    """
+
+    times: np.ndarray
+    dt: float | None
+    charge: np.ndarray
+    heat: np.ndarray
+    off: np.ndarray
+    s_mu: np.ndarray
 
 
-def _thermal_rates(cycle: PumpCycle, times, energies: np.ndarray,
-                   mass: np.ndarray, q: QuadratureSpec,
-                   mu: float | None = None):
-    """Charge and dissipation currents at `times`, shape (N, n) each, and
-    when `mu` is given, the off-diagonal row weight of the shift, (N, n),
-    and the matrices themselves, (N, n, n), at mu from the same stencil;
-    None without it.  mu is added as a node only if it is not one."""
-    nodes = energies
-    if mu is not None and mu not in energies:
-        nodes = np.append(energies, mu)
-    st = stencil(cycle, nodes, times, q)
+def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
+           times=None) -> _Sweep:
+    """One stencil at `times` (the cycle's `n_time` midpoint grid by
+    default) and the nodes of `_thermal_mass`, with mu as the last node:
+    appended at finite temperature, the only one at zero."""
+    dt = None
+    if times is None:
+        times, dt = cycle.time_grid(q.n_time)
+    energies, mass = _thermal_mass(state, q)
+    if state.temperature > 0.0:
+        energies = np.append(energies, state.mu)
+    st = stencil(cycle, energies, times, q)
     diag, rows, off = _row_weights(st.shift)
     m = mass.size
-    at_mu = None
-    if mu is not None:
-        j = np.flatnonzero(nodes == mu)[0]
-        at_mu = off[:, j], np.array(st.samples[0][:, j])
-    return (_thermal_average(diag[:, :m], mass) / TWO_PI,
-            _thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
-            at_mu)
+    return _Sweep(times=times, dt=dt,
+                  charge=_thermal_average(diag[:, :m], mass) / TWO_PI,
+                  heat=_thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
+                  off=off[:, -1], s_mu=np.array(st.samples[0][:, -1]))
 
 
 def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -178,7 +189,7 @@ def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
     over 2 pi; at finite temperature the diagonal is averaged against
     -drho/dE.
     """
-    return _thermal_rates(cycle, time, *_thermal_mass(state, q), q)[0][0]
+    return _sweep(cycle, state, q, time).charge[0]
 
 
 def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -190,7 +201,7 @@ def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
     index gives the charge bound, saturated exactly when the shift is
     diagonal and energy-independent across the thermal window.
     """
-    return _thermal_rates(cycle, time, *_thermal_mass(state, q), q)[1][0]
+    return _sweep(cycle, state, q, time).heat[0]
 
 
 def _window_rates(offdiag: np.ndarray,
@@ -210,7 +221,8 @@ def entropy_current(cycle: PumpCycle, time: float, state: ThermalState,
     entropy window.  Finite temperature only, and the shift is taken
     energy-independent across the thermal window.
     """
-    return _window_rates(_offdiag(cycle, state.mu, time, q)[0], state)[0]
+    off = _sweep(cycle, ThermalState(mu=state.mu), q, time).off
+    return _window_rates(off[0], state)[0]
 
 
 def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -220,7 +232,8 @@ def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
     Same structure as the entropy current with the x (1 - x) window, so
     the normalization is 6 instead of 2.
     """
-    return _window_rates(_offdiag(cycle, state.mu, time, q)[0], state)[1]
+    off = _sweep(cycle, ThermalState(mu=state.mu), q, time).off
+    return _window_rates(off[0], state)[1]
 
 
 def cycle_charge(cycle: PumpCycle, state: ThermalState,
@@ -230,17 +243,8 @@ def cycle_charge(cycle: PumpCycle, state: ThermalState,
     Midpoint rule in time; for smooth periodic cycles this converges
     spectrally, and the nodes dodge path corners of piecewise drives.
     """
-    return _midpoint_charge(cycle, state, q)[0]
-
-
-def _midpoint_charge(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
-                     mu: float | None = None):
-    """`cycle_charge`, the time step of its grid, and what `_thermal_rates`
-    gives at `mu` on the same nodes."""
-    times, dt = cycle.time_grid(q.n_time)
-    charge, _, at_mu = _thermal_rates(cycle, times, *_thermal_mass(state, q),
-                                      q, mu=mu)
-    return charge.sum(axis=0) * dt, dt, at_mu
+    sw = _sweep(cycle, state, q)
+    return sw.charge.sum(axis=0) * sw.dt
 
 
 def _wrap_angle(x):
@@ -269,15 +273,6 @@ def det_phase_rate(cycle: PumpCycle, energy: float, time: float,
     return float(_det_phase_rates(st)[0, 0])
 
 
-def _bk_residual(cycle: PumpCycle, energies: np.ndarray, mass: np.ndarray,
-                 times: np.ndarray, q: QuadratureSpec) -> float:
-    st = stencil(cycle, energies, times, replace(q, richardson=True))
-    diag, _, _ = _row_weights(st.shift)
-    total = np.sum(_thermal_average(diag, mass) / TWO_PI, axis=-1)
-    rate = _thermal_average(_det_phase_rates(st), mass)
-    return float(np.max(np.abs(total + rate / TWO_PI), initial=0.0))
-
-
 def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
                           q: QuadratureSpec = QuadratureSpec(),
                           times: np.ndarray | None = None) -> float:
@@ -291,7 +286,11 @@ def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
     if times is None:
         times, _ = cycle.time_grid(16)
     energies, mass = _thermal_mass(state, q)
-    return _bk_residual(cycle, energies, mass, times, q)
+    st = stencil(cycle, energies, times, replace(q, richardson=True))
+    total = np.sum(_thermal_average(_row_weights(st.shift)[0], mass) / TWO_PI,
+                   axis=-1)
+    rate = _thermal_average(_det_phase_rates(st), mass)
+    return float(np.max(np.abs(total + rate / TWO_PI), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -314,18 +313,16 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
                      q: QuadratureSpec = QuadratureSpec()) -> TransportReport:
     """One-stop cycle summary used by the command-line front end.
 
-    One stencil call covers every time node and every thermal node,
-    plus mu itself at finite temperature for the entropy and noise
-    currents.
+    One sweep covers every time node and every thermal node, plus mu
+    itself at finite temperature for the entropy and noise currents; the
+    sum rule is checked on about eight of the time nodes.
     """
-    times, dt = cycle.time_grid(q.n_time)
+    sw = _sweep(cycle, state, q)
+    times, dt, charge, diss = sw.times, sw.dt, sw.charge, sw.heat
     finite_t = state.temperature > 0.0
-    energies, mass = _thermal_mass(state, q)
-    charge, diss, at_mu = _thermal_rates(cycle, times, energies, mass, q,
-                                         mu=state.mu if finite_t else None)
-    ent, noi = _window_rates(at_mu[0], state) if finite_t else (None, None)
-    bk = _bk_residual(cycle, energies, mass,
-                      times[:: max(times.size // 8, 1)], q)
+    ent, noi = _window_rates(sw.off, state) if finite_t else (None, None)
+    bk = birman_krein_residual(cycle, state, q,
+                               times[:: max(times.size // 8, 1)])
     return TransportReport(
         times=times,
         charge_rate=charge,

@@ -1,0 +1,33 @@
+"""Which modules of the package may reach which kernel.
+
+Every S sample that a current, a noise part or a loop row reads comes
+from `transport._sweep`, so the stencil kernel is named only where it
+is defined and in `transport`; a third route to it fails here.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import qpump
+
+PACKAGE = Path(qpump.__file__).parent
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module reads or imports, attributes included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_only_smatrix_and_transport_name_the_stencil():
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if "stencil" in _names(ast.parse(path.read_text())))
+    assert users == ["smatrix.py", "transport.py"]

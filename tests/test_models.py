@@ -135,6 +135,24 @@ def test_transfer_matrix_opaque_and_band_edge():
         qp.transfer_matrix_smatrix(twin, 1.0)
 
 
+def test_opaque_plateau_after_a_growing_one_stays_unitary():
+    # the first plateau grows the running matrix by about 1e6 before the
+    # second, opaque one clamps its decay at exp(-700); the clamped
+    # exp(700) must not overflow the entries (S came out NaN).  No wave
+    # passes, and the left reflection is that of the stack cut after
+    # the opaque plateau
+    values = np.array([[5.78382073, 1e5, 3.51219368]])
+    widths = np.array([4.24346314, 3.23527756, 4.6612327])
+    energy = np.array([0.6725027136810481])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = qp.transfer_matrices(values, widths, energy)[0]
+    assert s[0, 1] == s[1, 0] == 0.0
+    assert np.max(np.abs(s @ s.conj().T - np.eye(2))) < 1e-12
+    cut = qp.transfer_matrices(values[:, :2], widths[:2], energy)[0]
+    assert abs(s[0, 0] - cut[0, 0]) < 1e-14
+
+
 def test_transfer_matrix_batch_rows_match_point_calls():
     # one batch through every branch of the kernel: an ordinary row, a
     # rescaled row (running matrix past 1e100, t > 0 but tiny), a clamped

@@ -191,3 +191,30 @@ def test_transport_report_is_consistent():
     assert np.all(rep.heat >= -1e-12)
     assert rep.bk_residual < 1e-8
     assert rep.charges.shape == (2,)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["random", "battery"])
+def test_point_currents_equal_the_report_rates_bit_for_bit(kind, temperature):
+    # every current reads the same kind of sweep of the shift, so a point
+    # function at a node of the report's grid gives the report's numbers
+    if kind == "random":
+        cyc = qp.make_random_analytic_cycle(2, np.random.default_rng(31))
+    else:
+        cyc = qp.make_battery_cycle(qp.TwoChannelParams(theta=0.9),
+                                    phi=lambda t: TWO_PI * t, period=1.0)
+    state = qp.ThermalState(mu=1.0, temperature=temperature)
+    q = replace(Q, n_time=16)
+    rep = qp.transport_report(cyc, state, q)
+    assert np.array_equal(qp.cycle_charge(cyc, state, q), rep.charges)
+    for k in (0, 5, 15):
+        t = rep.times[k]
+        assert np.array_equal(qp.bpt_current(cyc, t, state, q),
+                              rep.charge_rate[k])
+        assert np.array_equal(qp.dissipation_current(cyc, t, state, q),
+                              rep.dissipation_rate[k])
+        if temperature > 0.0:
+            assert np.array_equal(qp.entropy_current(cyc, t, state, q),
+                                  rep.entropy_rate[k])
+            assert np.array_equal(qp.noise_current(cyc, t, state, q),
+                                  rep.noise_rate[k])
