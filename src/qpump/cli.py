@@ -316,7 +316,7 @@ def cmd_geometry(args) -> int:
         "model": cycle.label,
         "mu": state.mu,
         "channel": channel,
-        "bpt_charge": float((sw.charge.sum(axis=0) * sw.dt)[channel]),
+        "bpt_charge": float((sw.weights @ sw.charge)[channel]),
         "global_angle_charge": geometry._loop_charge(rows),
     }
     try:

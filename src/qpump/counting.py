@@ -82,16 +82,16 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     _window(cycle)
     if state.temperature == 0.0:
         return 0.0
-    times, dt = cycle.time_grid(q.n_time)
-    return _thermal_from_diag(
-        row_states(cycle, channel, state.mu, times)[:, channel], state, dt)
+    times, weights = cycle.time_grid(q.n_time)
+    diag = row_states(cycle, channel, state.mu, times)[:, channel]
+    return _thermal_from_diag(diag, state, weights)
 
 
 def _thermal_from_diag(diag: np.ndarray, state: ThermalState,
-                       dt: float) -> float:
-    """Thermal noise from S_jj at mu on the midpoint nodes of the window."""
-    total = sum(1.0 - np.abs(diag) ** 2)
-    return float(state.temperature / math.pi * total * dt)
+                       weights: np.ndarray) -> float:
+    """Thermal noise from S_jj at mu on the window's time grid."""
+    return float(weights @ (1.0 - np.abs(diag) ** 2)
+                 * (state.temperature / math.pi))
 
 
 def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
@@ -106,14 +106,7 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
     _window(cycle)
     sw = _sweep(cycle, ThermalState(mu=state.mu), q)
-    return _shot_from_offdiag(sw.off[:, channel], state, sw.dt)
-
-
-def _shot_from_offdiag(offdiag: np.ndarray, state: ThermalState,
-                       dt: float) -> float:
-    """Finite-temperature shot noise from the off-diagonal row weight at mu
-    on the midpoint nodes of the window."""
-    return float(_window_rates(sum(offdiag), state)[1] * dt)
+    return float(_window_rates(sw.weights @ sw.off, state)[1][channel])
 
 
 def _simpson(t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +155,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     n = times.size
 
     # one sweep at the nodes gives the rows and the near-band limits
-    sw = _sweep(cycle, ThermalState(mu=mu), q, times)
+    sw = _sweep(cycle, ThermalState(mu=mu), q, (times, weights))
     rows, off = sw.s_mu[:, channel], sw.off[:, channel]
 
     proj = rows[:, :, None] * rows[:, None, :].conj()
@@ -229,7 +222,7 @@ def _direct_double(cycle: PumpCycle, channel: int, state: ThermalState,
     mu = state.mu
     pi_t = math.pi * state.temperature
 
-    times, dt = cycle.time_grid(q.n_time)
+    times, weights = cycle.time_grid(q.n_time)
     x, wx = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
     s = x / pi_t
     # the rule on [-R, R] is mirrored bit for bit (leggauss symmetrizes
@@ -241,7 +234,7 @@ def _direct_double(cycle: PumpCycle, channel: int, state: ThermalState,
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
     inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
-    return float(np.sum(inner)) * pi_t * dt / (4.0 * math.pi ** 2)
+    return float(weights @ inner) * pi_t / (4.0 * math.pi ** 2)
 
 
 @dataclass(frozen=True)
@@ -277,9 +270,10 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
                            thermal=0.0, shot=shot, total=shot)
     _window(cycle)
     sw = _sweep(cycle, state, q)
-    mean = (sw.charge.sum(axis=0) * sw.dt)[channel]
-    thermal = _thermal_from_diag(sw.s_mu[:, channel, channel], state, sw.dt)
-    shot = _shot_from_offdiag(sw.off[:, channel], state, sw.dt)
+    mean = (sw.weights @ sw.charge)[channel]
+    thermal = _thermal_from_diag(sw.s_mu[:, channel, channel], state,
+                                 sw.weights)
+    shot = float(_window_rates(sw.weights @ sw.off, state)[1][channel])
     direct = (thermal + _direct_double(cycle, channel, state, q)
               if include_direct else None)
     return NoiseReport(channel=channel, temperature=state.temperature,

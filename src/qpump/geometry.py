@@ -231,9 +231,9 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
 
     Valid when the frozen matrix is constant in time at the band bottom
     (the zero-energy boundary loop then carries no angle); this is
-    checked and a ValueError raised otherwise.  The energy grid includes
-    both ends, the time grid wraps periodically.  The rows are held to
-    `_check_admissible`.
+    checked and RegionTouchesDiscontinuity raised otherwise.  The energy
+    grid includes both ends, the time grid wraps periodically.  The rows
+    are held to `_check_admissible`.
     """
     times = _period_times(cycle, q)
     _check_channel(cycle, channel)
@@ -246,7 +246,7 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     bottom = grid[0]
     drift = np.max(np.linalg.norm(bottom - bottom[0], axis=-1))
     if drift > 1e-6:
-        raise ValueError(
+        raise RegionTouchesDiscontinuity(
             "frozen matrix moves at zero energy (drift "
             f"{drift:.2e}); cylinder flux does not equal the charge")
     _check_admissible(grid, wrap_v=True)

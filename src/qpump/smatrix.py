@@ -50,9 +50,9 @@ class PumpCycle:
     zero-stride energy axis declares the cycle energy-independent, and
     the stencil then works on one energy.
     A cycle has a `period` or a `window` (outside which the scatterer is
-    static), not both; every time integral takes its nodes from
-    `time_grid` on that domain.  Families with neither (open protocols)
-    support differential operations only.
+    static), not both; every time integral takes its nodes and weights
+    from `time_grid` on that domain.  Families with neither (open
+    protocols) support differential operations only.
     """
 
     n_channels: int
@@ -81,13 +81,14 @@ class PumpCycle:
             return self.window[1] - self.window[0]
         return 1.0
 
-    def time_grid(self, n: int) -> tuple[np.ndarray, float]:
+    def time_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n midpoint nodes over one period or over the pulse window, and
-        their common weight."""
+        their weights, shape (n,), all equal."""
         span = (0.0, self.period) if self.period is not None else self.window
         if span is None:
             raise ValueError("cycle has neither a period nor a window")
-        return midpoint_grid(*span, n)
+        nodes, dt = midpoint_grid(*span, n)
+        return nodes, np.full(n, dt)
 
     def sample(self, energy: float, time: float) -> np.ndarray:
         s = np.asarray(self.evaluate(energy, time), dtype=np.complex128)

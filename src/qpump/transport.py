@@ -11,6 +11,7 @@ Every current and cycle integral reads one `_Sweep`, a single stencil
 of the shift over a time grid and the thermal nodes with mu last; its
 row weight and S at mu also give the pulse noise of `counting` and the
 loop rows of `qpump geometry`.  The sum rule has its own stencil.
+Every time integral is `weights @ series`, weights from `time_grid`.
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ class _Sweep:
 
     `charge` and `heat` are the charge and dissipation currents at
     `times`, shape (N, n); `off` is the off-diagonal row weight of the
-    shift at mu, (N, n), and `s_mu` a copy of S(mu, t), (N, n, n).  `dt`
-    is the step of the cycle's midpoint grid, None for given times.
+    shift at mu, (N, n), and `s_mu` a copy of S(mu, t), (N, n, n).
+    `weights`, (N,), are the time-quadrature weights of `times`.
     """
 
     times: np.ndarray
-    dt: float | None
+    weights: np.ndarray
     charge: np.ndarray
     heat: np.ndarray
     off: np.ndarray
@@ -162,20 +163,18 @@ class _Sweep:
 
 
 def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
-           times=None) -> _Sweep:
-    """One stencil at `times` (the cycle's `n_time` midpoint grid by
-    default) and the nodes of `_thermal_mass`, with mu as the last node:
-    appended at finite temperature, the only one at zero."""
-    dt = None
-    if times is None:
-        times, dt = cycle.time_grid(q.n_time)
+           grid=None) -> _Sweep:
+    """One stencil on a `(times, weights)` grid (`cycle.time_grid(n_time)`
+    by default) and the nodes of `_thermal_mass`, with mu as the last
+    node: appended at finite temperature, the only one at zero."""
+    times, weights = cycle.time_grid(q.n_time) if grid is None else grid
     energies, mass = _thermal_mass(state, q)
     if state.temperature > 0.0:
         energies = np.append(energies, state.mu)
     st = stencil(cycle, energies, times, q)
     diag, rows, off = _row_weights(st.shift)
     m = mass.size
-    return _Sweep(times=times, dt=dt,
+    return _Sweep(times=times, weights=weights,
                   charge=_thermal_average(diag[:, :m], mass) / TWO_PI,
                   heat=_thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
                   off=off[:, -1], s_mu=np.array(st.samples[0][:, -1]))
@@ -189,7 +188,7 @@ def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
     over 2 pi; at finite temperature the diagonal is averaged against
     -drho/dE.
     """
-    return _sweep(cycle, state, q, time).charge[0]
+    return _sweep(cycle, state, q, ([time], [1.0])).charge[0]
 
 
 def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -201,7 +200,7 @@ def dissipation_current(cycle: PumpCycle, time: float, state: ThermalState,
     index gives the charge bound, saturated exactly when the shift is
     diagonal and energy-independent across the thermal window.
     """
-    return _sweep(cycle, state, q, time).heat[0]
+    return _sweep(cycle, state, q, ([time], [1.0])).heat[0]
 
 
 def _window_rates(offdiag: np.ndarray,
@@ -221,7 +220,7 @@ def entropy_current(cycle: PumpCycle, time: float, state: ThermalState,
     entropy window.  Finite temperature only, and the shift is taken
     energy-independent across the thermal window.
     """
-    off = _sweep(cycle, ThermalState(mu=state.mu), q, time).off
+    off = _sweep(cycle, ThermalState(mu=state.mu), q, ([time], [1.0])).off
     return _window_rates(off[0], state)[0]
 
 
@@ -232,7 +231,7 @@ def noise_current(cycle: PumpCycle, time: float, state: ThermalState,
     Same structure as the entropy current with the x (1 - x) window, so
     the normalization is 6 instead of 2.
     """
-    off = _sweep(cycle, ThermalState(mu=state.mu), q, time).off
+    off = _sweep(cycle, ThermalState(mu=state.mu), q, ([time], [1.0])).off
     return _window_rates(off[0], state)[1]
 
 
@@ -240,11 +239,11 @@ def cycle_charge(cycle: PumpCycle, state: ThermalState,
                  q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Charge pumped into each channel over one period (or pulse window).
 
-    Midpoint rule in time; for smooth periodic cycles this converges
-    spectrally, and the nodes dodge path corners of piecewise drives.
+    The cycle's `time_grid` is a midpoint rule: spectral for smooth
+    periodic cycles, and its nodes dodge corners of piecewise drives.
     """
     sw = _sweep(cycle, state, q)
-    return sw.charge.sum(axis=0) * sw.dt
+    return sw.weights @ sw.charge
 
 
 def _wrap_angle(x):
@@ -318,7 +317,7 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
     sum rule is checked on about eight of the time nodes.
     """
     sw = _sweep(cycle, state, q)
-    times, dt, charge, diss = sw.times, sw.dt, sw.charge, sw.heat
+    times, w, charge, diss = sw.times, sw.weights, sw.charge, sw.heat
     finite_t = state.temperature > 0.0
     ent, noi = _window_rates(sw.off, state) if finite_t else (None, None)
     bk = birman_krein_residual(cycle, state, q,
@@ -329,9 +328,9 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
         dissipation_rate=diss,
         entropy_rate=ent,
         noise_rate=noi,
-        charges=charge.sum(axis=0) * dt,
-        heat=diss.sum(axis=0) * dt,
-        entropy=ent.sum(axis=0) * dt if finite_t else None,
-        noise=noi.sum(axis=0) * dt if finite_t else None,
+        charges=w @ charge,
+        heat=w @ diss,
+        entropy=w @ ent if finite_t else None,
+        noise=w @ noi if finite_t else None,
         bk_residual=bk,
     )

@@ -186,7 +186,8 @@ def test_cylinder_charge_matches_cycle_charge():
 def test_cylinder_charge_requires_flat_bottom():
     rng = np.random.default_rng(47)
     cyc = qp.make_random_analytic_cycle(2, rng)  # moves at E = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.RegionTouchesDiscontinuity,
+                       match="moves at zero energy"):
         qp.cylinder_charge(cyc, 0, 0.8, Q)
 
 

@@ -19,10 +19,11 @@ A change that moves answers in the last digits compares numerically:
     python3 tools/cli_outputs.py --compare /tmp/before /tmp/after
 
 lists each differing file with the worst relative difference of its
-differing floats, |a - b| / max(|a|, |b|, 1e-300), and the line where it
-sits.  It exits 1 when a file is missing on one side, a file's lines or
-tokens do not pair up, any token other than a float differs, or a float
-differs by more than 1e-14 relative.
+differing floats, |a - b| / max(|a|, |b|, 1e-300), the line where it
+sits, the two floats there and their absolute difference |a - b|.  It
+exits 1 when a file is missing on one side, a file's lines or tokens do
+not pair up, any token other than a float differs, or a float differs
+by more than 1e-14 relative.
 
 The package and the workloads are imported from the tree this file sits
 in, so a checkout older than this file can run a copy of it placed in
@@ -83,12 +84,14 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def compare_file(before: Path, after: Path) -> tuple[float, int] | str:
-    """(worst relative float difference, its line), or what does not pair."""
+def compare_file(before: Path,
+                 after: Path) -> tuple[float, int, float, float] | str:
+    """(worst relative float difference, its line, the float before and
+    after), or what does not pair."""
     old, new = (p.read_text().splitlines() for p in (before, after))
     if len(old) != len(new):
         return f"{len(old)} lines against {len(new)}"
-    worst = (0.0, 0)
+    worst = (0.0, 0, 0.0, 0.0)
     for number, (a, b) in enumerate(zip(old, new), start=1):
         if a == b:
             continue
@@ -101,7 +104,7 @@ def compare_file(before: Path, after: Path) -> tuple[float, int] | str:
             fx, fy = _float(x), _float(y)
             if fx is None or fy is None:
                 return f"line {number}: {x!r} against {y!r}"
-            worst = max(worst, (_relative(fx, fy), number))
+            worst = max(worst, (_relative(fx, fy), number, fx, fy))
     return worst
 
 
@@ -123,10 +126,11 @@ def compare(before: Path, after: Path) -> int:
             failed = True
             print(f"{name}: structure differs: {result}")
         else:
-            rel, line = result
+            rel, line, x, y = result
             failed |= rel > FLOAT_RTOL
             print(f"{name}: worst relative difference {rel:.3g} "
-                  f"(line {line})")
+                  f"(line {line}: {x!r} against {y!r}, "
+                  f"absolute {abs(x - y):.3g})")
     print(f"{differing} of {len(names)} files differ; "
           f"{'FAIL' if failed else 'ok'} at relative {FLOAT_RTOL:g}")
     return 1 if failed else 0
