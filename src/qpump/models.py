@@ -11,9 +11,9 @@ once, on the time array (a drive that takes only scalars falls back to
 one call per time, see `_values`), the dispersion once, on the energy
 array, and the matrices of the whole grid are built by broadcasting;
 their point `evaluate` is the 1 x 1 grid.  Potential models build S(E)
-for piecewise-constant potentials by a transfer-matrix product, one
-kernel, `transfer_matrices`, over a whole stack of potentials and
-energies, elementwise on the four entries of the running matrix; the
+for piecewise-constant potentials by a star product of the layers'
+S matrices, one kernel, `transfer_matrices`, over a whole stack of
+potentials and energies, elementwise on the four entries of S; the
 bicycle pump (two valve barriers seesawing around a piston plateau) is
 the workhorse example of quantized transport.  Its S, too, is
 implemented only as `evaluate_grid`: its path and the kernel each run
@@ -36,7 +36,7 @@ from .smatrix import (PumpCycle, TwoChannelParams, _check_unitary,
                       two_channel_matrices)
 from .transport import ThermalState, bpt_current
 
-# worst |S S^dagger - 1| accepted from `transfer_matrix_smatrix`
+# worst |S S^dagger - 1| accepted from a row of `transfer_matrices`
 TRANSFER_UNITARITY_TOL = 1e-9
 # b scan size, polish grid side and halvings, |r| bound and merge
 # distance of `reflectionless_points`
@@ -115,18 +115,20 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
 
     Row p has plateau values `values[p]` (shape (P, L)) over the common
     plateau `widths` (L,) and is taken at `energies[p]`.  Wavenumbers are
-    k_i = sqrt(2 (E - V_i)); under a plateau the branch gives
-    k = i kappa and the growing exponential is controlled by rescaling
-    the running transfer matrix, so opaque barriers go over smoothly to
-    their analytic limit (t underflows to 0, |r| -> 1).  Fiducial points
-    sit at the first and last breakpoints.  Channel 1 is the left lead,
-    channel 2 the right lead; every energy must exceed both lead
-    potentials (zero), else EnergyAtBandEdge.  An energy within 1e-12 of
-    a plateau of its row is nudged by 1e-10 to avoid the band-edge
-    singularity of the matching conditions.  The running transfer
-    matrix is held as its four entries, each a (P,) array, and every
-    step is elementwise arithmetic on them, so a row equals its
-    one-point call bit for bit.
+    k_i = sqrt(2 (E - V_i)), on the branch Im k >= 0 (k = i kappa under
+    a plateau).  The S of the stack is grown from the left lead by the
+    Redheffer star product, one interface and one plateau at a time: a
+    plateau of width w multiplies t and t' by p = exp(i k w) and r' by
+    p^2, and |p| <= 1, so no factor grows and an opaque barrier goes
+    over to its analytic limit by itself (t underflows to 0, |r| -> 1).
+    Fiducial points sit at the first and last breakpoints.  Channel 1
+    is the left lead, channel 2 the right lead; every energy must exceed
+    both lead potentials (zero), else EnergyAtBandEdge.  An energy within
+    1e-12 of a plateau of its row is nudged by 1e-10: at k = 0 the two
+    plane waves of the plateau coincide.  The stack's S is held as its
+    four entries r, t, t', r', each a (P,) array, and every step is
+    elementwise arithmetic on them, so a row equals its one-point call
+    bit for bit.
     """
     values = np.asarray(values, dtype=float)
     widths = np.asarray(widths, dtype=float)
@@ -144,45 +146,30 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
             raise EnergyAtBandEdge("energy pinned to a plateau value")
 
     k_lead = np.sqrt(2.0 * energies).astype(np.complex128)
-    m00 = m11 = np.ones(energies.size, dtype=np.complex128)
-    m01 = m10 = np.zeros(energies.size, dtype=np.complex128)
-    log_scale = np.zeros(energies.size)
+    t = tp = np.ones(energies.size, dtype=np.complex128)
+    r = rp = np.zeros(energies.size, dtype=np.complex128)
     k_prev = k_lead
     for v, w in zip(values.T, widths):
         k = np.sqrt((2.0 * (energies - v)).astype(np.complex128))
-        m00, m01, m10, m11 = _match(k_prev / k, m00, m01, m10, m11)
-        phase = 1j * k * w
-        opaque = phase.real < -700.0       # opaque segment: clamp the decay
-        phase.real[opaque] = -700.0
-        grow, decay = np.exp(phase), np.exp(-phase)
-        if opaque.any():    # e^700 goes to log_scale: entries would overflow
-            grow[opaque], decay[opaque] = 0.0, 1.0
-            log_scale[opaque] += 700.0
-        m00, m01, m10, m11 = grow * m00, grow * m01, decay * m10, decay * m11
+        r, t, tp, rp = _interface(k_prev, k, r, t, tp, rp)
+        p = np.exp(1j * k * w)
+        t, tp, rp = p * t, p * tp, p * p * rp
         k_prev = k
-        top = np.maximum(np.maximum(np.abs(m00), np.abs(m01)),
-                         np.maximum(np.abs(m10), np.abs(m11)))
-        big = top > 1e100
-        if big.any():
-            for entry in (m00, m01, m10, m11):
-                entry[big] /= top[big]
-            log_scale[big] += np.log(top[big])
-    _, m01, m10, m11 = _match(k_prev / k_lead, m00, m01, m10, m11)
+    r, t, tp, rp = _interface(k_prev, k_lead, r, t, tp, rp)
 
-    s = np.empty((energies.size, 2, 2), dtype=np.complex128)
-    s[:, 0, 0] = -m10 / m11
-    s[:, 0, 1] = s[:, 1, 0] = np.where(log_scale < 700.0,
-                                       np.exp(-log_scale) / m11, 0.0)
-    s[:, 1, 1] = m01 / m11
+    s = np.stack([r, tp, t, rp], axis=-1).reshape(-1, 2, 2)
     _check_unitary(s, TRANSFER_UNITARITY_TOL)
     return s
 
 
-def _match(ratio, m00, m01, m10, m11):
-    """Entries of 0.5 [[1 + r, 1 - r], [1 - r, 1 + r]] m, r = k_from / k_to."""
-    a, b = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
-    return (a * m00 + b * m10, a * m01 + b * m11,
-            b * m00 + a * m10, b * m01 + a * m11)
+def _interface(ka, kb, r, t, tp, rp):
+    """Star product of a stack's S (entries r, t, t', r') with the step
+    from wavenumber ka to kb on its right: the four entries after it."""
+    total = ka + kb
+    ri, ti, tpi = (ka - kb) / total, 2.0 * ka / total, 2.0 * kb / total
+    d = 1.0 - rp * ri
+    return (r + tp * ri * t / d, ti * t / d, tp * tpi / d,
+            ti * rp * tpi / d - ri)
 
 
 # ---------------------------------------------------------------------------

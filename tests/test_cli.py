@@ -92,6 +92,24 @@ def test_geometry_routes_agree_on_quantized_charge(tmp_path, capsys):
     assert summary["fractional_charge"] == 0.0
 
 
+def test_wide_valve_bicycle_answers(tmp_path, capsys):
+    # valves 2 wide and 1e4 tall decay by up to about 630 each; while
+    # both are partly closed the two together decay past the range of
+    # a double, and S must stay finite and unitary there
+    cfg = _write(tmp_path, "bicycle.json",
+                 {"model": {"kind": "bicycle",
+                            "params": {"length": 5, "delta": 2}}})
+    assert cli.main(["transport", "--config", cfg]) == 0
+    summary = _json_out(capsys)["summary"]
+    q0, q1 = summary["charges"]
+    assert abs(q0 + q1) < 1e-6
+    assert summary["bk_residual"] < 1e-8
+    assert cli.main(["geometry", "--config", cfg]) == 0
+    summary = _json_out(capsys)["summary"]
+    gap = (summary["fractional_charge"] - summary["global_angle_charge"]) % 1.0
+    assert min(gap, 1.0 - gap) < 1e-6
+
+
 @pytest.mark.parametrize("channel", [0, 1])
 @pytest.mark.parametrize("model", [
     pytest.param({"kind": "bicycle"}, id="bicycle-L1"),

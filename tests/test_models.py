@@ -136,11 +136,10 @@ def test_transfer_matrix_opaque_and_band_edge():
 
 
 def test_opaque_plateau_after_a_growing_one_stays_unitary():
-    # the first plateau grows the running matrix by about 1e6 before the
-    # second, opaque one clamps its decay at exp(-700); the clamped
-    # exp(700) must not overflow the entries (S came out NaN).  No wave
-    # passes, and the left reflection is that of the stack cut after
-    # the opaque plateau
+    # a barrier of decay about 14 is followed by an opaque one (decay
+    # about 1450, far past the underflow of exp): S must come out
+    # unitary, with no overflow and no NaN.  No wave passes, and the
+    # left reflection is that of the stack cut after the opaque plateau
     values = np.array([[5.78382073, 1e5, 3.51219368]])
     widths = np.array([4.24346314, 3.23527756, 4.6612327])
     energy = np.array([0.6725027136810481])
@@ -154,9 +153,9 @@ def test_opaque_plateau_after_a_growing_one_stays_unitary():
 
 
 def test_transfer_matrix_batch_rows_match_point_calls():
-    # one batch through every branch of the kernel: an ordinary row, a
-    # rescaled row (running matrix past 1e100, t > 0 but tiny), a clamped
-    # row (decay past -700 and t = 0) and a row nudged off a plateau
+    # one batch over every input regime: an ordinary row, a tall row
+    # (total decay about 280, t > 0 but tiny), an opaque row (total
+    # decay about 1130, t = 0) and a row nudged off a plateau
     edges = (0.0, 10.0, 40.0)
     rows = [((2.0, 0.5), 3.0), ((400.0, 0.0), 1.0), ((400.0, 400.0), 1.0),
             ((2.0, 0.5), 2.0)]
@@ -180,8 +179,11 @@ def test_transfer_matrix_batch_rows_match_point_calls():
 
 
 def _matmul_chain(values, widths, energy: float) -> np.ndarray:
-    """S of one potential as a plain chain of 2 x 2 `@` products, with
-    the kernel's nudge, opaque clamp and rescaling written out again."""
+    """S of one potential as a plain chain of 2 x 2 transfer matrices
+    multiplied with `@`: the independent reference.  It nudges the
+    energy off a plateau as the kernel does; so that the chain itself
+    stays finite, it clamps the decay of an opaque plateau at exp(-700)
+    and rescales the running matrix past 1e100."""
     if np.any(np.abs(energy - values) < 1e-12):
         energy += 1e-10
 
@@ -208,22 +210,23 @@ def _matmul_chain(values, widths, energy: float) -> np.ndarray:
 
 def test_transfer_matrices_match_a_plain_matmul_chain():
     # 200 seeded random potentials of 1 to 4 plateaus; some rows are
-    # opaque (clamped), some rescaled and some sit on a plateau (nudged).
+    # opaque (a decay past 700), some tall (a total decay past
+    # log 1e100) and some sit on a plateau (nudged).
     # Rounding enters the matching steps amplified by their largest
     # ratio r = |k_from / k_to|, about 1e5 past a nudge, so the bound is
     # 1e-12 or 10 eps r, whichever is larger.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(20261019)
-    kinds = {"opaque": 0, "rescaled": 0, "nudged": 0}
+    kinds = {"opaque": 0, "tall": 0, "nudged": 0}
     for _ in range(200):
         n = int(rng.integers(1, 5))
         widths = rng.uniform(0.05, 3.0, n)
         values = rng.uniform(-2.0, 6.0, n)
         energy = float(rng.uniform(0.05, 5.0))
         pick = rng.integers(4)
-        if pick == 1:                     # a first barrier past the clamp
-            # (after a plateau that grows the running matrix, the
-            # clamped exp(700) overflows, in the reference too)
+        if pick == 1:                     # an opaque first barrier
+            # (an opaque barrier after a growing plateau would
+            # overflow the reference chain)
             values[0] = 1e5
             widths[:] = rng.uniform(3.0, 5.0, n)
         elif pick == 2:                   # tall but not opaque barriers
@@ -241,9 +244,60 @@ def test_transfer_matrices_match_a_plain_matmul_chain():
         assert np.max(np.abs(s - ref)) < max(1e-12, 10.0 * eps * r)
         decay = np.sqrt(2.0 * np.maximum(values - energy, 0.0)) * widths
         kinds["opaque"] += bool(np.any(decay > 700.0))
-        kinds["rescaled"] += bool(np.sum(decay) > math.log(1e100))
+        kinds["tall"] += bool(np.sum(decay) > math.log(1e100))
         kinds["nudged"] += bool(pick == 3)
     assert min(kinds.values()) >= 20
+
+
+def test_opaque_barrier_after_a_tall_one_gives_the_step_reflection():
+    # decay 228, a low barrier, then decay 690: together they are far
+    # past the underflow of exp, yet each alone is not.  No wave
+    # passes, and each lead sees the reflection of a semi-infinite step
+    # of the same height, to rounding; S must come out with no overflow
+    # and no NaN
+    kappa = math.sqrt(118.0)
+    s = qp.transfer_matrices([[60.0, 1.5, 60.0]],
+                             [228.0 / kappa, 0.3, 690.0 / kappa], [1.0])[0]
+    assert s[0, 1] == s[1, 0] == 0.0
+    step = (math.sqrt(2.0) - 1j * kappa) / (math.sqrt(2.0) + 1j * kappa)
+    assert abs(s[0, 0] - step) < 1e-14
+    assert abs(s[1, 1] - step) < 1e-14
+
+
+def _mp_chain(values, widths, energy: float, mp) -> np.ndarray:
+    """S of one potential from a chain of 2 x 2 transfer matrices in
+    the working precision of `mp` (mpmath); inputs are taken exactly."""
+    k_lead = mp.sqrt(2 * mp.mpf(energy))
+    ks = [k_lead] + [mp.sqrt(mp.mpc(2 * (mp.mpf(energy) - mp.mpf(v))))
+                     for v in values] + [k_lead]
+    m = mp.eye(2)
+    for i in range(len(ks) - 1):
+        ratio = ks[i] / ks[i + 1]
+        m = mp.matrix([[1 + ratio, 1 - ratio], [1 - ratio, 1 + ratio]]) \
+            * m / 2
+        if i < len(widths):
+            phase = 1j * ks[i + 1] * mp.mpf(widths[i])
+            m = mp.diag([mp.exp(phase), mp.exp(-phase)]) * m
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[complex(-m[1, 0] / m[1, 1]), complex(1 / m[1, 1])],
+                     [complex(det / m[1, 1]), complex(m[0, 1] / m[1, 1])]])
+
+
+def test_bicycle_rows_match_a_50_digit_transfer_chain():
+    # 60 seeded points of the default bicycle path at E = mu: thin tall
+    # valves around a propagating or evanescent piston (decay up to 9)
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    geometry = qp.BicycleGeometry()
+    a, b = bicycle_path(np.random.default_rng(27).uniform(0.0, 1.0, 60))
+    scale = math.pi ** 2 / 2.0
+    values = scale * np.stack([a * geometry.barrier, 10.0 * b,
+                               (1.0 - a) * geometry.barrier], axis=-1)
+    widths = np.diff((0.0, geometry.delta, geometry.length,
+                      geometry.length + geometry.delta))
+    s = geometry.smatrix(a, b, 1.0)
+    for row, v in zip(s, values):
+        assert np.max(np.abs(row - _mp_chain(v, widths, scale, mp))) < 2e-15
 
 
 def test_uturn_matrix_form():

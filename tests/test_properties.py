@@ -4,13 +4,15 @@ The acceptance gates check each invariant on a few fixed seeds; here
 hypothesis draws the random analytic cycle (seed, 1-4 channels, either
 energy profile), the Fermi energy and the temperature (zero or
 0.02-0.3), and each invariant is held to the bound of its gate; the
-charge sum rule also draws whole turns of a global phase.  The
-zero-temperature shot noise is held to a dense O(N^2) copy of its
-double sum on random and battery pulses, and to zero on the noiseless
-pumps; on battery pulses whose phase turns n whole times, ramping and
-turning back, it stays above the minimal-excitation bound.  The draws
-are derandomized, so a run is reproducible and a failure names its
-example.
+charge sum rule also draws whole turns of a global phase.  Stacks of
+up to five plateaus, barriers of decay up to 1000 among wells, must
+give a unitary, reciprocal S whose left reflection stops at the first
+opaque barrier.  The zero-temperature shot noise is held to a dense
+O(N^2) copy of its double sum on random and battery pulses, and to
+zero on the noiseless pumps; on battery pulses whose phase turns n
+whole times, ramping and turning back, it stays above the
+minimal-excitation bound.  The draws are derandomized, so a run is
+reproducible and a failure names its example.
 """
 from __future__ import annotations
 
@@ -153,6 +155,36 @@ def test_unresolved_patches_are_drawn_again():
     for seed, dim in ((578, 1), (51, 2)):
         patch = qp.random_smooth_patch(np.random.default_rng(seed), dim=dim)
         assert qp.stokes_residual(patch) < 1e-6
+
+
+def _plateau_stack(seed: int, n: int):
+    """n random plateaus and an energy: about 70% barriers, each drawn
+    by its decay kappa w in [0, 1000], the rest wells.  Returns the
+    values, widths, energy and decays (0 for a well)."""
+    rng = np.random.default_rng(seed)
+    energy = rng.uniform(0.05, 5.0)
+    widths = rng.uniform(0.05, 3.0, n)
+    barrier = rng.random(n) < 0.7
+    decays = np.where(barrier, rng.uniform(0.0, 1000.0, n), 0.0)
+    values = np.where(barrier, energy + 0.5 * (decays / widths) ** 2,
+                      energy - rng.uniform(0.0, 6.0, n))
+    return values, widths, energy, decays
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 5))
+def test_barrier_stacks_are_unitary_and_reciprocal(seed, n):
+    values, widths, energy, decays = _plateau_stack(seed, n)
+    energies = np.array([energy])
+    s = qp.transfer_matrices(values[None], widths, energies)[0]
+    assert np.max(np.abs(s @ s.conj().T - np.eye(2))) < 1e-12
+    assert abs(s[0, 1] - s[1, 0]) <= 1e-14
+    # no wave passes an opaque plateau, so what lies beyond it leaves
+    # the left reflection as it is, to the last bit
+    for j in np.flatnonzero(decays > 750.0):
+        cut = qp.transfer_matrices(values[None, :j + 1], widths[:j + 1],
+                                   energies)[0]
+        assert s[0, 0] == cut[0, 0]
 
 
 def _dense_zero_t_shot(cycle: qp.PumpCycle, channel: int, mu: float,
