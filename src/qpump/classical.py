@@ -57,9 +57,9 @@ class PlowSpec:
 
     def _pieces(self):
         w, v0 = self.travel_time, self.speed
-        # (start, end, position at start, velocity)
+        # (start, end, x0, velocity vb): the barrier sits at x0 + vb * t
         return ((-math.inf, -w, -v0 * w, 0.0),
-                (-w, w, -v0 * w, v0),
+                (-w, w, 0.0, v0),
                 (w, math.inf, v0 * w, 0.0))
 
 
@@ -69,31 +69,6 @@ class ScatterResult:
     time: float
     channel: int
     n_events: int
-
-
-def _first_crossing(spec: PlowSpec, x_ref: float, v: float, t_ref: float,
-                    after: float) -> tuple[float, float] | None:
-    """Earliest strict future intersection of the free line with the barrier.
-
-    Returns (time, barrier velocity) or None when the particle escapes.
-    """
-    guard = 1e-12 * max(1.0, abs(after) if math.isfinite(after) else 1.0,
-                        spec.travel_time)
-    lower = after + guard if math.isfinite(after) else -math.inf
-    best = None
-    for lo, hi, x_lo, vb in spec._pieces():
-        if v == vb:
-            continue
-        # particle: x_ref + v (s - t_ref); barrier: x_lo + vb (s - lo).
-        # both unbounded pieces are parked (vb = 0), so the anchor choice
-        # for lo = -inf is immaterial.
-        anchor = lo if math.isfinite(lo) else 0.0
-        s = (x_lo - vb * anchor - x_ref + v * t_ref) / (v - vb)
-        if s <= lower or not (lo <= s <= hi):
-            continue
-        if best is None or s < best[0]:
-            best = (s, vb)
-    return best
 
 
 def _check_lead(channel: int) -> None:
@@ -110,20 +85,31 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
     _check_lead(channel)
     speed_in = math.sqrt(2.0 * energy)
     v = speed_in if channel == 0 else -speed_in
-    x_ref, t_ref, after = 0.0, float(time_in), -math.inf
+    # position and time of the last encounter, a relative guard past it
+    x_ref, t_ref, lower = 0.0, float(time_in), -math.inf
     events = 0
     while True:
-        hit = _first_crossing(spec, x_ref, v, t_ref, after)
-        if hit is None:
+        best = None
+        for lo, hi, x0, vb in spec._pieces():
+            if v == vb:
+                continue
+            # particle: x_ref + v (s - t_ref); barrier: x0 + vb s
+            s = (x0 - x_ref + v * t_ref) / (v - vb)
+            if s > lower and lo <= s <= hi and (best is None or s < best[0]):
+                best = (s, vb)
+        if best is None:
             break
-        s, vb = hit
+        s, vb = best
         events += 1
         if events > MAX_EVENTS:
             raise MaxEventsExceeded("barrier encounters did not terminate")
         x_ref = x_ref + v * (s - t_ref)
         t_ref = s
-        after = s
-        if 0.5 * (v - vb) ** 2 <= spec.height:
+        lower = s + 1e-12 * max(1.0, abs(s), spec.travel_time)
+        # d * d, not d ** 2: C pow, behind python's **, misrounds the
+        # square in about 1e-3 of cases, and `_scatter_many` must agree
+        d = v - vb
+        if 0.5 * d * d <= spec.height:
             v = 2.0 * vb - v          # elastic bounce off the moving wall
         # else: passes over the thin barrier with unchanged velocity
     channel_out = 0 if v < 0.0 else 1
@@ -132,6 +118,65 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
     energy_out = energy if abs(v) == speed_in else 0.5 * v * v
     return ScatterResult(energy=energy_out, time=time_out,
                          channel=channel_out, n_events=events)
+
+
+def _as_points(energies, times, channels):
+    """Incoming points as arrays, refused with `classical_scatter`'s errors."""
+    e, t, ch = np.broadcast_arrays(np.asarray(energies, dtype=float),
+                                   np.asarray(times, dtype=float),
+                                   np.asarray(channels))
+    # written so that NaN fails too
+    if not np.all((0.0 < e) & (e < math.inf) & np.isfinite(t)):
+        raise ValueError("need a finite incoming time and energy > 0")
+    # the first bad channel, if any, meets the scalar check
+    for lead in ch[(ch != 0) & (ch != 1)][:1].tolist():
+        _check_lead(lead)
+    return e, t, ch.astype(int)
+
+
+def _scatter_many(spec: PlowSpec, energies, times, channels):
+    """`classical_scatter` over arrays of incoming points, flattened.
+
+    Each pass finds the next encounter of every point in play with the
+    scalar loop's operations in its order, so the outgoing energies,
+    times, channels and encounter counts are bit-equal to its.  A call
+    costs a few hundred microseconds however few its points, so single
+    points go to `classical_scatter`.
+    """
+    energy, time_in, channel = (a.ravel() for a in
+                                _as_points(energies, times, channels))
+    speed_in = np.sqrt(2.0 * energy)
+    # position, time and velocity after each point's last encounter
+    x, t = np.zeros_like(energy), time_in.copy()
+    v = np.where(channel == 0, speed_in, -speed_in)
+    n_events = np.zeros(energy.size, dtype=int)
+    # points in play, and the time after which their next crossing lies
+    live, lower = np.arange(energy.size), np.full(energy.size, -math.inf)
+    while live.size:
+        xl, tl, vl = x[live], t[live], v[live]
+        best, vb_best = np.full(live.size, math.inf), np.zeros(live.size)
+        hit = np.zeros(live.size, dtype=bool)
+        for lo, hi, x0, vb in spec._pieces():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (x0 - xl + vl * tl) / (vl - vb)
+            take = ((vl != vb) & (s > lower) & (lo <= s) & (s <= hi)
+                    & (~hit | (s < best)))
+            best = np.where(take, s, best)
+            vb_best = np.where(take, vb, vb_best)
+            hit |= take
+        live, xl, tl, vl, s, vb = (a[hit] for a in
+                                   (live, xl, tl, vl, best, vb_best))
+        n_events[live] += 1
+        if live.size and n_events[live].max() > MAX_EVENTS:
+            raise MaxEventsExceeded("barrier encounters did not terminate")
+        x[live] = xl + vl * (s - tl)
+        t[live] = s
+        lower = s + 1e-12 * np.maximum(np.maximum(1.0, np.abs(s)),
+                                       spec.travel_time)
+        d = vl - vb
+        v[live] = np.where(0.5 * d * d <= spec.height, 2.0 * vb - vl, vl)
+    energy_out = np.where(np.abs(v) == speed_in, energy, 0.5 * v * v)
+    return energy_out, t - x / v, np.where(v < 0.0, 0, 1), n_events
 
 
 def _mirror(state: tuple[float, float, int]) -> tuple[float, float, int]:
@@ -156,38 +201,41 @@ def inverse_scatter(spec: PlowSpec, energy_out: float, time_out: float,
 # ---------------------------------------------------------------------------
 # transmit/reflect partition of the incoming plane
 
-def _partition(spec: PlowSpec, energy: float,
-               channel: int) -> tuple[float, float]:
-    """Energy threshold at the moving wall and the switch time of |t|.
+def _moving_thresholds(spec: PlowSpec) -> list[float]:
+    """Energy above which a state of lead 0, 1 passes the moving wall."""
+    return [0.5 * max(math.sqrt(2.0 * spec.height) - sign * spec.speed,
+                      0.0) ** 2 for sign in (-1.0, 1.0)]
+
+
+def _partition(spec: PlowSpec, energy, time_in, channel):
+    """Distance of incoming points to the nearest partition boundary, and
+    whether they transmit; elementwise over arrays of checked points.
 
     A crossing at |t| beyond travel_time * (1 -+ speed / sqrt(2E)) meets
     the barrier parked (threshold E > height); inside, it meets the
     moving wall and the threshold shifts to the barrier frame.
     """
-    _check_lead(channel)
-    s = math.sqrt(2.0 * energy)
-    v0, w, h = spec.speed, spec.travel_time, spec.height
-    sign = -1.0 if channel == 0 else 1.0
-    e_moving = 0.5 * max(math.sqrt(2.0 * h) - sign * v0, 0.0) ** 2
-    t_switch = w * (1.0 + sign * v0 / s) if s > 0 else w
-    return e_moving, t_switch
+    e_moving = np.where(channel == 0, *_moving_thresholds(spec))
+    sign = np.where(channel == 0, -1.0, 1.0)
+    t_switch = spec.travel_time * (1.0 + sign * spec.speed
+                                   / np.sqrt(2.0 * energy))
+    margin = np.minimum(np.minimum(np.abs(energy - spec.height),
+                                   np.abs(energy - e_moving)),
+                        np.abs(np.abs(time_in) - t_switch))
+    threshold = np.where(np.abs(time_in) < t_switch, e_moving, spec.height)
+    return margin, energy > threshold
 
 
 def predicted_transmit(spec: PlowSpec, energy: float, time_in: float,
                        channel: int) -> bool:
     """Closed-form partition of the incoming (E, t) plane."""
-    e_moving, t_switch = _partition(spec, energy, channel)
-    moving = abs(time_in) < t_switch
-    return energy > (e_moving if moving else spec.height)
+    return bool(_partition(spec, *_as_points(energy, time_in, channel))[1])
 
 
 def partition_margin(spec: PlowSpec, energy: float, time_in: float,
                      channel: int) -> float:
     """Distance of an incoming point to the nearest partition boundary."""
-    e_moving, t_switch = _partition(spec, energy, channel)
-    margins = [abs(energy - spec.height), abs(energy - e_moving),
-               abs(abs(time_in) - t_switch)]
-    return min(margins)
+    return float(_partition(spec, *_as_points(energy, time_in, channel))[0])
 
 
 def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
@@ -197,18 +245,11 @@ def partition_disagreements(spec: PlowSpec, energies: np.ndarray,
     Points within `PARTITION_MARGIN` of a boundary are skipped; away from
     the boundaries the two must agree exactly.
     """
-    bad = 0
-    # python scalars: numpy scalar arithmetic is several times slower
-    for e, t, ch in zip(*(np.asarray(a).tolist()
-                          for a in (energies, times, channels))):
-        ch = int(ch)
-        if partition_margin(spec, e, t, ch) < PARTITION_MARGIN:
-            continue
-        sim = classical_scatter(spec, e, t, ch)
-        transmitted = sim.channel != ch
-        if transmitted != predicted_transmit(spec, e, t, ch):
-            bad += 1
-    return bad
+    e, t, ch = _as_points(energies, times, channels)
+    margin, transmit = _partition(spec, e, t, ch)
+    keep = margin >= PARTITION_MARGIN
+    channel_out = _scatter_many(spec, e[keep], t[keep], ch[keep])[2]
+    return int(np.count_nonzero((channel_out != ch[keep]) != transmit[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +281,25 @@ def _require_reflection(spec: PlowSpec, mu: float) -> None:
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("need a finite Fermi level mu > 0")
-    lowest = min(spec.height, *(_partition(spec, mu, ch)[0] for ch in (0, 1)))
+    lowest = min(spec.height, *_moving_thresholds(spec))
     if mu > lowest - PARTITION_MARGIN:
         raise RegionTouchesDiscontinuity(
             f"the plow charges need every state up to mu to reflect: mu = "
             f"{mu:.6g} is not {PARTITION_MARGIN:g} below {lowest:.6g}")
 
 
-def _reach(spec: PlowSpec, energy: float) -> float:
+def _reach(spec: PlowSpec, energy):
     """A time beyond which a state at `energy` meets only the parked barrier."""
-    s = math.sqrt(2.0 * energy)
+    s = np.sqrt(2.0 * energy)
     return 2.0 * (spec.travel_time * (1.0 + 6.0 * spec.speed / s)
                   + 4.0 * spec.speed)
 
 
-def _fermi_line_pieces(outcome, reach: float) -> list:
-    """Pieces of [-reach, reach] on which t -> outcome(t) keeps its
-    channel, encounter count and energy.
+def _fermi_line_pieces(outcome, scan: list) -> list:
+    """Pieces of a time line on which t -> outcome(t) keeps its channel,
+    encounter count and energy.
 
-    `PLOW_NODES` midpoint times are scanned, and each cell whose ends
+    `scan` holds (t, outcome(t)) at increasing times; each cell whose ends
     differ is bisected down to `PIECE_TOL`.  Returns the first and the
     last time seen on each piece and the outcome there, in order.
     """
@@ -277,8 +318,6 @@ def _fermi_line_pieces(outcome, reach: float) -> list:
         if key(m) != key(b):
             split(m, b)
 
-    times, _ = midpoint_grid(-reach, reach, PLOW_NODES)
-    scan = [(t, outcome(t)) for t in times.tolist()]
     ends = [scan[0]]
     for a, b in zip(scan, scan[1:]):
         if key(a) != key(b):
@@ -298,10 +337,18 @@ def plow_charge_bpt(spec: PlowSpec, mu: float) -> np.ndarray:
     Q = 2 v0 w / (pi v) * (-(v + v0)^2, (v - v0)^2).
     """
     _require_reflection(spec, mu)
+    reach = _reach(spec, mu)
+    times, _ = midpoint_grid(-reach, reach, PLOW_NODES)
+    # `inverse_scatter` at `PLOW_NODES` exit times of each lead: the
+    # mirrored forward map; `_fermi_line_pieces` bisects from there
+    e, t, ch, n = (a.reshape(2, PLOW_NODES).tolist()
+                   for a in _scatter_many(spec, mu, -times, [[1], [0]]))
     q = np.zeros(2)
     for lead in (0, 1):
+        scan = [(node, ScatterResult(*_mirror(out), k)) for node, *out, k
+                in zip(times.tolist(), e[lead], t[lead], ch[lead], n[lead])]
         pieces = _fermi_line_pieces(
-            lambda t: inverse_scatter(spec, mu, t, lead), _reach(spec, mu))
+            lambda t: inverse_scatter(spec, mu, t, lead), scan)
         for t0, t1, first in pieces:
             q[lead] += (mu - first.energy) * (t1 - t0)
     return q / TWO_PI
@@ -327,14 +374,15 @@ def plow_charge_direct(spec: PlowSpec, mu: float) -> np.ndarray:
     """
     _require_reflection(spec, mu)
     speeds, ds = midpoint_grid(0.0, math.sqrt(2.0 * mu), PLOW_NODES)
-    q = np.zeros(2)
-    for lead in (0, 1):
-        for s in speeds.tolist():
-            e = 0.5 * s * s
-            t = _reach(spec, e)
-            early = classical_scatter(spec, e, -t, lead).time + t
-            late = classical_scatter(spec, e, t, lead).time - t
-            q[lead] += (early - late) * s
+    e = 0.5 * speeds * speeds
+    t = _reach(spec, e)
+    # delay of the early and the late end of each line, for each lead
+    ends = np.stack((-t, t))
+    delays = _scatter_many(spec, e, ends, [[[0]], [[1]]])[1].reshape(
+        2, 2, PLOW_NODES) - ends
+    terms = (delays[:, 0] - delays[:, 1]) * speeds
+    # summed in node order: numpy's pairwise sum rounds differently
+    q = np.array([sum(row) for row in terms.tolist()])
     return q * ds / TWO_PI
 
 

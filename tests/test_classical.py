@@ -6,13 +6,14 @@ against the event loop itself.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qpump as qp
-from qpump import classical
+from qpump import classical, cli
 
 SPEC = qp.PlowSpec(height=1.0, speed=0.01, travel_time=10.0)
 
@@ -255,6 +256,93 @@ def test_event_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(classical, "MAX_EVENTS", 0)
     with pytest.raises(qp.MaxEventsExceeded):
         qp.classical_scatter(SPEC, 0.5, 2.0, 0)
+
+
+def test_event_budget_is_enforced_on_arrays(monkeypatch):
+    # the array loop reads the budget at call time, as the scalar one does:
+    # a budget at the largest encounter count passes, one below it raises
+    rng = np.random.default_rng(73)
+    energies = rng.uniform(0.2, 3.0, 500)
+    times = rng.uniform(-20.0, 20.0, 500)
+    channels = rng.integers(0, 2, 500)
+    counts = classical._scatter_many(SPEC, energies, times, channels)[3]
+    most = int(counts.max())
+    assert most >= 1
+    monkeypatch.setattr(classical, "MAX_EVENTS", most)
+    classical._scatter_many(SPEC, energies, times, channels)
+    monkeypatch.setattr(classical, "MAX_EVENTS", most - 1)
+    with pytest.raises(qp.MaxEventsExceeded):
+        classical._scatter_many(SPEC, energies, times, channels)
+    monkeypatch.setattr(classical, "MAX_EVENTS", 0)
+    with pytest.raises(qp.MaxEventsExceeded):
+        qp.partition_disagreements(SPEC, energies, times, channels)
+
+
+@pytest.mark.parametrize("energy, time_in, channel", [
+    pytest.param(-0.5, 0.3, 0, id="negative-energy"),
+    pytest.param(0.0, 0.3, 0, id="zero-energy"),
+    pytest.param(math.nan, 0.3, 0, id="nan-energy"),
+    pytest.param(math.inf, 10.0, 0, id="infinite-energy"),
+    pytest.param(0.8, math.nan, 1, id="nan-time"),
+    pytest.param(0.8, -math.inf, 1, id="infinite-time"),
+    pytest.param(0.8, 0.3, 2, id="channel-2"),
+    pytest.param(0.8, 0.3, -1, id="channel-minus-1"),
+    pytest.param(0.8, 0.3, 0.5, id="channel-half"),
+])
+def test_partition_refuses_bad_points_with_the_scatter_message(
+        energy, time_in, channel):
+    # a negative energy used to fail with a bare "math domain error" from
+    # the closed forms, and an infinite one at |t| = travel_time was
+    # skipped as a boundary point; now every point is checked first
+    with pytest.raises(ValueError) as scalar:
+        qp.classical_scatter(SPEC, energy, time_in, channel)
+    for call in (qp.partition_margin, qp.predicted_transmit):
+        with pytest.raises(ValueError) as refused:
+            call(SPEC, energy, time_in, channel)
+        assert str(refused.value) == str(scalar.value)
+    with pytest.raises(ValueError) as refused:
+        qp.partition_disagreements(SPEC, np.array([0.8, energy]),
+                                   np.array([0.3, time_in]),
+                                   np.array([1, channel]))
+    assert str(refused.value) == str(scalar.value)
+
+
+def test_partition_takes_empty_input_and_float_channels():
+    assert qp.partition_disagreements(SPEC, [], [], []) == 0
+    rng = np.random.default_rng(79)
+    energies = rng.uniform(0.2, 3.0, 300)
+    times = rng.uniform(-20.0, 20.0, 300)
+    channels = rng.integers(0, 2, 300)
+    as_int = classical._scatter_many(SPEC, energies, times, channels)
+    as_float = classical._scatter_many(SPEC, energies, times,
+                                       channels.astype(float))
+    for a, b in zip(as_int, as_float):
+        assert np.array_equal(a, b)
+    assert qp.partition_disagreements(SPEC, energies, times,
+                                      channels.astype(float)) == 0
+
+
+def test_classical_command_scatters_points_one_by_one_only_to_bisect(
+        tmp_path, monkeypatch):
+    # the partition check and both charge scans run on arrays; only the
+    # bisection of the Fermi-line pieces calls the scalar scatter.  The
+    # count does not depend on the machine; a change that lowers it
+    # lowers the pin
+    calls = []
+    scatter = classical.classical_scatter
+
+    def counted(*args):
+        calls.append(args)
+        return scatter(*args)
+
+    monkeypatch.setattr(classical, "classical_scatter", counted)
+    config = tmp_path / "plow.json"
+    config.write_text(json.dumps({
+        "classical": {"height": 1.0, "speed": 0.01, "travel_time": 10.0},
+        "state": {"mu": 0.5}}))
+    assert cli.main(["classical", "--config", str(config), "--points",
+                     "2000", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 172
 
 
 def test_battery_crossing_shift():

@@ -11,8 +11,11 @@ opaque barrier.  The zero-temperature shot noise is held to a dense
 O(N^2) copy of its double sum on random and battery pulses, and to
 zero on the noiseless pumps; on battery pulses whose phase turns n
 whole times, ramping and turning back, it stays above the
-minimal-excitation bound.  The draws are derandomized, so a run is
-reproducible and a failure names its example.
+minimal-excitation bound.  The array event loop of the classical plow
+must give the scalar loop's outgoing states bit for bit, on random
+plows (speed 0 included) and at points within 1e-9 of each partition
+boundary.  The draws are derandomized, so a run is reproducible and a
+failure names its example.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import qpump as qp
+from qpump import classical
 from qpump.counting import _simpson
 from qpump.models import smooth_bump
 from qpump.quadrature import TWO_PI
@@ -297,3 +301,51 @@ def test_zero_t_shot_noise_obeys_the_minimal_excitation_bound(
     # budget refuses some draws where a bump turns the ramp back
     q = replace(Q, h_t_rel=1e-6)
     assert qp.shot_noise_zero_t(cycle, 0, 1.0, q) >= bound * (1.0 - 1e-9)
+
+
+plows = st.builds(qp.PlowSpec, st.floats(0.05, 3.0),
+                  st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+                  st.floats(0.5, 20.0))
+
+
+@st.composite
+def plow_points(draw, spec):
+    """An incoming (E, t, channel), drawn free or within 1e-9 of a
+    partition boundary (E = height, E = the moving-wall threshold,
+    |t| = the switch time), or at |t| = travel_time."""
+    h, v0, w = spec.height, spec.speed, spec.travel_time
+    channel = draw(st.integers(0, 1))
+    sign = -1.0 if channel == 0 else 1.0
+    energy = draw(st.floats(1e-3, 4.0 * h))
+    time = draw(st.floats(-2.0 * w, 2.0 * w))
+    where = draw(st.sampled_from(["free", "height", "moving", "switch",
+                                  "travel"]))
+
+    def near(value):
+        # within 1e-9, or a few ulps: at |t| = the switch time the
+        # crossing lands on a corner of the barrier path
+        return value + draw(st.one_of(
+            st.floats(-1e-9, 1e-9),
+            st.integers(-3, 3).map(lambda k: k * math.ulp(value))))
+
+    if where == "height":
+        energy = near(h)
+    elif where == "moving":
+        energy = near(0.5 * max(math.sqrt(2.0 * h) - sign * v0, 0.0) ** 2)
+    energy = energy if energy > 0.0 else 1e-3
+    if where == "switch":
+        time = near(w * (1.0 + sign * v0 / math.sqrt(2.0 * energy)))
+    elif where == "travel":
+        time = w
+    return energy, time * draw(st.sampled_from([-1.0, 1.0])), channel
+
+
+@SETTINGS
+@given(st.data(), plows)
+def test_array_event_loop_is_the_scalar_loop_bit_for_bit(data, spec):
+    points = data.draw(st.lists(plow_points(spec), min_size=1, max_size=30))
+    energies, times, channels = map(np.array, zip(*points))
+    got = classical._scatter_many(spec, energies, times, channels)
+    want = [qp.classical_scatter(spec, *point) for point in points]
+    for field, column in zip(("energy", "time", "channel", "n_events"), got):
+        assert column.tolist() == [getattr(r, field) for r in want], field
