@@ -9,7 +9,8 @@ collection of built-in models with a command-line front end.
 """
 
 from .errors import (EnergyAtBandEdge, GridTooCoarse, MaxEventsExceeded,
-                     NonPulseCycle, NonUnitary, PhaseUnwrapFailure, PumpError,
+                     NonPulseCycle, NonUnitary, NoTimeDomain,
+                     PhaseUnwrapFailure, PumpError,
                      RegionTouchesDiscontinuity, SchemaError,
                      StencilOutOfDomain, ZeroTemperature)
 from .quadrature import QuadratureSpec, gauss_legendre, midpoint_grid

@@ -39,6 +39,8 @@ PLOW_NODES = 64
 PIECE_TOL = 1e-13
 # encounters `classical_scatter` follows
 MAX_EVENTS = 64
+# a state of lead 0 at exactly twice the wall's speed bounces to rest
+AT_REST = "a bounce leaves the particle at rest: it never leaves the plow"
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,8 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
         if 0.5 * d * d <= spec.height:
             v = 2.0 * vb - v          # elastic bounce off the moving wall
         # else: passes over the thin barrier with unchanged velocity
+    if v == 0.0:
+        raise RegionTouchesDiscontinuity(AT_REST)
     channel_out = 0 if v < 0.0 else 1
     time_out = t_ref - x_ref / v
     # passing over or bouncing off the parked barrier keeps |v| bit-equal
@@ -175,6 +179,8 @@ def _scatter_many(spec: PlowSpec, energies, times, channels):
                                        spec.travel_time)
         d = vl - vb
         v[live] = np.where(0.5 * d * d <= spec.height, 2.0 * vb - vl, vl)
+    if not v.all():
+        raise RegionTouchesDiscontinuity(AT_REST)
     energy_out = np.where(np.abs(v) == speed_in, energy, 0.5 * v * v)
     return energy_out, t - x / v, np.where(v < 0.0, 0, 1), n_events
 
@@ -213,16 +219,23 @@ def _partition(spec: PlowSpec, energy, time_in, channel):
 
     A crossing at |t| beyond travel_time * (1 -+ speed / sqrt(2E)) meets
     the barrier parked (threshold E > height); inside, it meets the
-    moving wall and the threshold shifts to the barrier frame.
+    moving wall and the threshold shifts to the barrier frame.  There a
+    state of lead 0 at E = 2 speed^2 bounces to rest, which is a boundary
+    too: the exit times on either side of it diverge.
     """
-    e_moving = np.where(channel == 0, *_moving_thresholds(spec))
-    sign = np.where(channel == 0, -1.0, 1.0)
+    left = channel == 0
+    e_moving = np.where(left, *_moving_thresholds(spec))
+    sign = np.where(left, -1.0, 1.0)
     t_switch = spec.travel_time * (1.0 + sign * spec.speed
                                    / np.sqrt(2.0 * energy))
+    t_abs = np.abs(time_in)
+    moving = t_abs < t_switch
+    rest = np.where(moving & left, np.abs(energy - 2.0 * spec.speed ** 2),
+                    math.inf)
     margin = np.minimum(np.minimum(np.abs(energy - spec.height),
                                    np.abs(energy - e_moving)),
-                        np.abs(np.abs(time_in) - t_switch))
-    threshold = np.where(np.abs(time_in) < t_switch, e_moving, spec.height)
+                        np.minimum(np.abs(t_abs - t_switch), rest))
+    threshold = np.where(moving, e_moving, spec.height)
     return margin, energy > threshold
 
 

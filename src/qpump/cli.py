@@ -223,10 +223,38 @@ def _output(args):
         yield fh
 
 
+def _json_pieces(value, pad: str = ""):
+    """`json.dumps(value, sort_keys=True, indent=2)` in pieces, string keys
+    only.  Dicts are laid out here; a scalar or a list of scalars goes to
+    the C encoder in one call, its item separator carrying the newline and
+    indent.  A list that holds containers, which no command writes, is
+    json's own layout, indented by `pad` (no string holds a raw newline)."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key in sorted(value):
+            name = json.encoder.encode_basestring_ascii(key)
+            yield f"{sep}\n{inner}{name}: "
+            yield from _json_pieces(value[key], inner)
+            sep = ","
+        yield f"\n{pad}}}"
+    elif not isinstance(value, (list, tuple)) or not value:
+        yield json.dumps(value)
+    elif any(issubclass(kind, (list, tuple, dict))
+             for kind in set(map(type, value))):
+        yield json.dumps(value, sort_keys=True,
+                         indent=2).replace("\n", "\n" + pad)
+    else:
+        flat = json.dumps(value, separators=(",\n" + inner, ": "))
+        yield f"[\n{inner}{flat[1:-1]}\n{pad}]"
+
+
 def write_json(payload: dict, args):
+    """`json.dump(payload, sort_keys=True, indent=2)` and a newline, written
+    a line at a time: a reader that closes early then fails a write."""
+    text = "".join(_json_pieces(payload)) + "\n"
     with _output(args) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.writelines(text.splitlines(keepends=True))
 
 
 def write_csv(meta: dict, header: list, rows, args):

@@ -39,7 +39,7 @@ KERNEL_REACH = 30.0
 
 def _window(cycle: PumpCycle) -> tuple[float, float]:
     if cycle.window is None:
-        raise ValueError("counting statistics need a cycle with a window")
+        raise NonPulseCycle("counting statistics need a cycle with a window")
     return cycle.window
 
 

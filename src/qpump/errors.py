@@ -4,7 +4,7 @@ Each error names the violated precondition or invariant and states the
 exit code the CLI returns for it, so library code should raise the most
 specific class that applies.  Codes, stderr headings and classes:
 
-    2  configuration error      SchemaError
+    2  configuration error      SchemaError, NoTimeDomain
     3  invariant violated       NonUnitary, StencilOutOfDomain, GridTooCoarse,
                                 PhaseUnwrapFailure, and a bare ValueError
     4  outside validity region  ZeroTemperature, NonPulseCycle,
@@ -49,6 +49,11 @@ class GridTooCoarse(PumpError, exit_code=3):
 
 class NonPulseCycle(PumpError, exit_code=4):
     """Operation requires a pulse cycle (scatterer settles outside a window)."""
+
+
+class NoTimeDomain(PumpError, exit_code=2):
+    """The cycle has no time domain of the kind asked for: a period for the
+    loop formulas, a period or a window for a time grid."""
 
 
 class EnergyAtBandEdge(PumpError, exit_code=4):

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import (EnergyAtBandEdge, GridTooCoarse, PhaseUnwrapFailure,
-                     RegionTouchesDiscontinuity)
+from .errors import (EnergyAtBandEdge, GridTooCoarse, NoTimeDomain,
+                     PhaseUnwrapFailure, RegionTouchesDiscontinuity)
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import PumpCycle
 
@@ -78,7 +78,7 @@ def global_angle(states: np.ndarray) -> float:
 def _period_times(cycle: PumpCycle, q: QuadratureSpec) -> np.ndarray:
     """Time nodes of one period; the loop formulas need a periodic cycle."""
     if cycle.period is None:
-        raise ValueError("this formula needs a periodic cycle")
+        raise NoTimeDomain("this formula needs a periodic cycle")
     return cycle.time_grid(q.n_time)[0]
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonUnitary, StencilOutOfDomain
+from .errors import NonUnitary, NoTimeDomain, StencilOutOfDomain
 from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid, require_count
 
 # worst |S S^dagger - 1| `decompose_two_channel` accepts
@@ -86,7 +86,7 @@ class PumpCycle:
         their weights, shape (n,), all equal."""
         span = (0.0, self.period) if self.period is not None else self.window
         if span is None:
-            raise ValueError("cycle has neither a period nor a window")
+            raise NoTimeDomain("cycle has neither a period nor a window")
         nodes, dt = midpoint_grid(*span, n)
         return nodes, np.full(n, dt)
 

@@ -127,11 +127,24 @@ def _thermal_mass(state: ThermalState,
 
 
 def _thermal_average(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Weighted sum over the energy axis (axis 1), node by node."""
-    total = np.zeros(values.shape[:1] + values.shape[2:])
-    for w, v in zip(mass, values.swapaxes(0, 1)):
-        total += w * v
-    return total
+    """Weighted sum over the energy axis (axis 1), node by node.
+
+    Bit-equal to `total = 0.0; total += w * v` in node order, for every
+    shape and stride.  The products fill the rows of a C-ordered
+    (nodes, k + 1) array, and numpy adds the rows, node after node, to a
+    row that starts at +0.0.  The zero column keeps two or more elements
+    per node: with one (one time and one channel), numpy would sum the
+    nodes pairwise.  `einsum`, `tensordot` and `@` are not used: their
+    order follows the strides, so a broadcast S would not give the
+    numbers of a dense one.
+    """
+    moved = values.swapaxes(0, 1)
+    k = math.prod(moved.shape[1:])
+    terms = np.empty((mass.size, k + 1))
+    terms[:, k] = 0.0
+    np.multiply(mass.reshape((-1,) + (1,) * (values.ndim - 1)), moved,
+                out=terms[:, :k].reshape(moved.shape))
+    return terms.sum(axis=0, initial=0.0)[:k].reshape(moved.shape[1:])
 
 
 def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -322,6 +322,33 @@ def test_partition_takes_empty_input_and_float_channels():
                                       channels.astype(float)) == 0
 
 
+def test_a_bounce_to_rest_is_refused_and_is_a_partition_boundary():
+    # lead 0 at speed 2 v0 meets the receding wall and leaves at
+    # 2 v0 - 2 v0 = 0: it stays on the plow, so no outgoing state exists
+    e_rest = 2.0 * SPEC.speed ** 2
+    assert math.sqrt(2.0 * e_rest) == 2.0 * SPEC.speed
+    with pytest.raises(qp.RegionTouchesDiscontinuity) as scalar:
+        qp.classical_scatter(SPEC, e_rest, 0.0, 0)
+    with pytest.raises(qp.RegionTouchesDiscontinuity) as many:
+        classical._scatter_many(SPEC, [0.5, e_rest], [0.0, 0.0], [0, 0])
+    assert str(many.value) == str(scalar.value) == classical.AT_REST
+    with pytest.raises(qp.RegionTouchesDiscontinuity):
+        qp.inverse_scatter(SPEC, e_rest, 0.0, 1)
+    with pytest.raises(qp.RegionTouchesDiscontinuity, match="at rest"):
+        qp.plow_charge_bpt(SPEC, e_rest)    # its lead 1 line, mirrored
+    # inside the moving window the point is a boundary and is skipped;
+    # the parked barrier and lead 1 bounce it back as usual
+    assert qp.partition_margin(SPEC, e_rest, 0.0, 0) == 0.0
+    assert qp.partition_disagreements(SPEC, [e_rest], [0.0], [0]) == 0
+    t_parked = SPEC.travel_time
+    assert qp.partition_margin(SPEC, e_rest, t_parked, 0) > 1e-3
+    assert qp.classical_scatter(SPEC, e_rest, t_parked, 0).channel == 0
+    assert qp.partition_margin(SPEC, e_rest, 0.0, 1) > 1e-5
+    assert qp.classical_scatter(SPEC, e_rest, 0.0, 1).channel == 1
+    near = e_rest * (1.0 + np.array([-1e-2, 1e-2]))
+    assert qp.partition_disagreements(SPEC, near, [0.0, 0.0], [0, 0]) == 0
+
+
 def test_classical_command_scatters_points_one_by_one_only_to_bisect(
         tmp_path, monkeypatch):
     # the partition check and both charge scans run on arrays; only the

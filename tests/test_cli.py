@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -430,6 +431,7 @@ def test_zero_temperature_direct_request_exits_4(tmp_path, capsys):
 # every error class of the package -> its exit code and stderr heading
 EXIT_CODES = {
     "SchemaError": (2, "configuration error"),
+    "NoTimeDomain": (2, "configuration error"),
     "NonUnitary": (3, "invariant violated"),
     "StencilOutOfDomain": (3, "invariant violated"),
     "PhaseUnwrapFailure": (3, "invariant violated"),
@@ -522,6 +524,67 @@ def test_models_list_covers_all_kinds(capsys):
     assert {row[0] for row in rows} == set(MODEL_KINDS)
     assert ["uturn", "flux_quanta", "1", ""] in rows
     assert ["bicycle", "length", "1", "1e-06"] in rows
+
+
+WRITER_CASES = [
+    {"floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                0.1, -2.5e-300, 1.7976931348623157e308]},
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": -0.0,
+     "tiny": 5e-324, "big": 1e16},
+    {"ints": [0, -1, 2 ** 70], "bools": [True, False], "none": None,
+     "mixed": [1, 2.0, "three", None, True, np.float64(0.1)],
+     "n": 3, "t": True, "f": False},
+    {"empty_list": [], "empty_dict": {}, "empty_tuple": ()},
+    {"nested": [[1.0, [2.0, []]], {"b": [3.0], "a": {}}, [], 4.0],
+     "deep": {"z": {"y": {"x": [[[]]]}}}},
+    {"np": [np.float64(1.5), np.float64(-0.0), np.float64(np.nan)],
+     "np_scalar": np.float64(2.0 / 3.0), "tuple": (1.0, 2.0)},
+    {"unicode ü": "naïve — ∂S/∂t ✓ 😀", "esc": "quote \" back \\ tab \t "
+     "nl \n cr \r nul \x00 del \x7f nel \x85 ls \u2028 ff \x0c",
+     "\x1e key\n": ["a\nb", " "]},
+    {},
+    [],
+    [1.0, 2.0],
+    "top-level string",
+    1e-7,
+]
+
+
+@pytest.mark.parametrize("payload", WRITER_CASES)
+def test_json_writer_matches_json_dump(tmp_path, payload):
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    out = tmp_path / "out.json"
+    cli.write_json(payload, argparse.Namespace(out=str(out)))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["models-list", "--format", "json"],
+    ["transport", "--grid", "16", "--temperature", "0.1"],
+    ["noise", "--zero-t"],
+])
+def test_cli_json_output_is_json_dump_of_itself(tmp_path, capsys, argv):
+    # parsing keeps every float and int, so re-dumping the parsed output
+    # gives json.dump's bytes for the payload the command wrote
+    if argv[0] == "transport":
+        argv = argv + ["--config", _battery_cfg(tmp_path)]
+    elif argv[0] == "noise":
+        argv = argv + ["--config", _pulse_cfg(tmp_path)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_refuses_what_json_refuses(tmp_path):
+    # and keys that are not strings, which json would turn into strings
+    args = argparse.Namespace(out=str(tmp_path / "out.json"))
+    for bad in ({"a": [np.float32(1.0)]}, {"a": {1, 2}}, {"a": [object()]},
+                {"a": np.float32(1.0)}, {1: 2.0}):
+        with pytest.raises(TypeError):
+            cli.write_json(bad, args)
 
 
 def test_selfcheck_passes(capsys):

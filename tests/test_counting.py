@@ -225,13 +225,13 @@ def test_cumulants_reject_cycles_without_a_window():
     periodic = qp.make_battery_cycle(qp.TwoChannelParams(theta=THETA),
                                      phi=lambda t: TWO_PI * t, period=1.0)
     cold = qp.ThermalState(mu=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.NonPulseCycle, match="with a window"):
         qp.shot_noise_zero_t(periodic, 0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.NonPulseCycle, match="with a window"):
         qp.thermal_noise(periodic, 0, qp.ThermalState(mu=1.0, temperature=2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.NonPulseCycle, match="with a window"):
         qp.thermal_noise(periodic, 0, cold)
-    with pytest.raises(ValueError):
+    with pytest.raises(qp.NonPulseCycle, match="with a window"):
         qp.mean_transferred_charge(periodic, cold)
 
 

@@ -122,6 +122,16 @@ def test_sink_transported_charge_is_minus_one():
     assert abs(charge - qp.cycle_charge(cyc, state, Q)[0]) < 1e-8
 
 
+def test_loop_formulas_refuse_a_pulse_as_a_configuration_error():
+    pulse = qp.make_sink_cycle(qp.TwoChannelParams(theta=0.5),
+                               gamma=lambda t: TWO_PI * t, window=(0.0, 1.0))
+    for formula in (qp.charge_from_global_angle, qp.amplitude_winding,
+                    qp.fractional_charge):
+        with pytest.raises(qp.NoTimeDomain, match="periodic cycle") as err:
+            formula(pulse, 0, 1.0, Q)
+        assert err.value.exit_code == 2
+
+
 def test_spherical_polygon_area_matches_caps():
     # solid angles live mod 4 pi: a southern rim may come back as the
     # negatively oriented complement.

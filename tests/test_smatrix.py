@@ -190,7 +190,7 @@ def test_time_grid_is_the_midpoint_rule_of_the_time_domain():
         want, want_dt = qp.midpoint_grid(*span, 37)
         assert np.array_equal(times, want)
         assert np.array_equal(weights, np.full(37, want_dt))
-    with pytest.raises(ValueError, match="neither a period nor a window"):
+    with pytest.raises(qp.NoTimeDomain, match="neither a period nor a window"):
         qp.PumpCycle(2, lambda e, t: np.eye(2)).time_grid(16)
 
 

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 import qpump as qp
+from qpump.transport import _thermal_average
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -161,6 +162,40 @@ def test_thermal_average_loses_weight_below_band_bottom():
     assert abs(charge[0] - math.sin(theta) ** 2 * covered) < 1e-9
     cold_charge = qp.cycle_charge(cyc, COLD, Q)
     assert abs(cold_charge[0] - math.sin(theta) ** 2) < 1e-8
+
+
+def _thermal_average_loop(values, mass):
+    # the reference order: start from +0.0, add node after node
+    total = np.zeros(values.shape[:1] + values.shape[2:])
+    for k in range(mass.size):
+        total += mass[k] * values[:, k]
+    return total
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (8, 64), (64, 64), (5, 1),
+                                   (1, 64, 1), (64, 64, 2), (3, 17, 3),
+                                   (0, 64)])
+@pytest.mark.parametrize("zero_stride", [False, True])
+def test_thermal_average_adds_node_by_node(shape, zero_stride):
+    # bit-equal to the loop for one time and one channel too, where
+    # numpy's sum(axis=0) would switch to pairwise summation
+    rng = np.random.default_rng(sum(shape) + zero_stride)
+    mass = rng.random(shape[1])
+    for _ in range(20):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -8, 8, size=shape)
+        if zero_stride:     # an energy-independent S, broadcast over energy
+            values = np.broadcast_to(values[:, :1], shape)
+        got = _thermal_average(values, mass)
+        ref = _thermal_average_loop(values, mass)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert np.array_equal(got, _thermal_average(np.array(values), mass))
+    zeros = np.broadcast_to(-0.0, shape) if zero_stride else np.full(shape,
+                                                                     -0.0)
+    got = _thermal_average(zeros, mass)
+    assert np.array_equal(np.signbit(got), np.signbit(
+        _thermal_average_loop(zeros, mass)))
+    assert not np.any(np.signbit(got))
 
 
 def test_sum_rule_on_sink():
