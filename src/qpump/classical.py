@@ -41,6 +41,8 @@ PIECE_TOL = 1e-13
 MAX_EVENTS = 64
 # a state of lead 0 at exactly twice the wall's speed bounces to rest
 AT_REST = "a bounce leaves the particle at rest: it never leaves the plow"
+# refusal of an incoming point by `classical_scatter` and `_as_points`
+BAD_POINT = "need a finite incoming time and energy > 0"
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,17 @@ def classical_scatter(spec: PlowSpec, energy: float, time_in: float,
     """Map an incoming asymptotic state through the plow."""
     # written so that NaN fails too
     if not (0.0 < energy < math.inf and -math.inf < time_in < math.inf):
-        raise ValueError("need a finite incoming time and energy > 0")
+        raise ValueError(BAD_POINT)
     _check_lead(channel)
     speed_in = math.sqrt(2.0 * energy)
     v = speed_in if channel == 0 else -speed_in
     # position and time of the last encounter, a relative guard past it
     x_ref, t_ref, lower = 0.0, float(time_in), -math.inf
     events = 0
+    pieces = spec._pieces()
     while True:
         best = None
-        for lo, hi, x0, vb in spec._pieces():
+        for lo, hi, x0, vb in pieces:
             if v == vb:
                 continue
             # particle: x_ref + v (s - t_ref); barrier: x0 + vb s
@@ -131,7 +134,7 @@ def _as_points(energies, times, channels):
                                    np.asarray(channels))
     # written so that NaN fails too
     if not np.all((0.0 < e) & (e < math.inf) & np.isfinite(t)):
-        raise ValueError("need a finite incoming time and energy > 0")
+        raise ValueError(BAD_POINT)
     # the first bad channel, if any, meets the scalar check
     for lead in ch[(ch != 0) & (ch != 1)][:1].tolist():
         _check_lead(lead)
@@ -185,11 +188,6 @@ def _scatter_many(spec: PlowSpec, energies, times, channels):
     return energy_out, t - x / v, np.where(v < 0.0, 0, 1), n_events
 
 
-def _mirror(state: tuple[float, float, int]) -> tuple[float, float, int]:
-    e, t, ch = state
-    return e, -t, 1 - ch
-
-
 def inverse_scatter(spec: PlowSpec, energy_out: float, time_out: float,
                     channel_out: int) -> ScatterResult:
     """Incoming state that exits as (energy_out, time_out, channel_out).
@@ -198,10 +196,9 @@ def inverse_scatter(spec: PlowSpec, energy_out: float, time_out: float,
     outgoing states to incoming ones with the lead swapped, so the
     inverse map is the forward map conjugated by that inversion.
     """
-    e, t, ch = _mirror((energy_out, time_out, channel_out))
-    r = classical_scatter(spec, e, t, ch)
-    e2, t2, ch2 = _mirror((r.energy, r.time, r.channel))
-    return ScatterResult(energy=e2, time=t2, channel=ch2, n_events=r.n_events)
+    r = classical_scatter(spec, energy_out, -time_out, 1 - channel_out)
+    return ScatterResult(energy=r.energy, time=-r.time, channel=1 - r.channel,
+                         n_events=r.n_events)
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +306,26 @@ def _reach(spec: PlowSpec, energy):
 
 
 def _fermi_line_pieces(outcome, scan: list) -> list:
-    """Pieces of a time line on which t -> outcome(t) keeps its channel,
-    encounter count and energy.
+    """Pieces of a time line on which t -> outcome(t) stays the same.
 
     `scan` holds (t, outcome(t)) at increasing times; each cell whose ends
     differ is bisected down to `PIECE_TOL`.  Returns the first and the
     last time seen on each piece and the outcome there, in order.
     """
-    def key(point):
-        r = point[1]
-        return r.channel, r.n_events, r.energy
-
     def split(a, b):
         if b[0] - a[0] <= PIECE_TOL:
             ends.extend((a, b))
             return
         t = 0.5 * (a[0] + b[0])
         m = (t, outcome(t))
-        if key(m) != key(a):
+        if m[1] != a[1]:
             split(a, m)
-        if key(m) != key(b):
+        if m[1] != b[1]:
             split(m, b)
 
     ends = [scan[0]]
     for a, b in zip(scan, scan[1:]):
-        if key(a) != key(b):
+        if a[1] != b[1]:
             split(a, b)
     ends.append(scan[-1])
     return [(a[0], b[0], a[1]) for a, b in zip(ends[::2], ends[1::2])]
@@ -352,18 +344,20 @@ def plow_charge_bpt(spec: PlowSpec, mu: float) -> np.ndarray:
     _require_reflection(spec, mu)
     reach = _reach(spec, mu)
     times, _ = midpoint_grid(-reach, reach, PLOW_NODES)
-    # `inverse_scatter` at `PLOW_NODES` exit times of each lead: the
-    # mirrored forward map; `_fermi_line_pieces` bisects from there
-    e, t, ch, n = (a.reshape(2, PLOW_NODES).tolist()
+    # the state exiting at (mu, t, lead) mirrors the forward image of
+    # (mu, -t, 1 - lead), with its energy and encounter count and the
+    # channel relabelled one to one: the pieces are the forward image's
+    e, _, ch, n = (a.reshape(2, PLOW_NODES).tolist()
                    for a in _scatter_many(spec, mu, -times, [[1], [0]]))
     q = np.zeros(2)
     for lead in (0, 1):
-        scan = [(node, ScatterResult(*_mirror(out), k)) for node, *out, k
-                in zip(times.tolist(), e[lead], t[lead], ch[lead], n[lead])]
-        pieces = _fermi_line_pieces(
-            lambda t: inverse_scatter(spec, mu, t, lead), scan)
-        for t0, t1, first in pieces:
-            q[lead] += (mu - first.energy) * (t1 - t0)
+        def outcome(t):
+            r = classical_scatter(spec, mu, -t, 1 - lead)
+            return r.channel, r.n_events, r.energy
+
+        scan = list(zip(times.tolist(), zip(ch[lead], n[lead], e[lead])))
+        for t0, t1, (_, _, energy) in _fermi_line_pieces(outcome, scan):
+            q[lead] += (mu - energy) * (t1 - t0)
     return q / TWO_PI
 
 

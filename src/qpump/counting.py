@@ -12,6 +12,11 @@ double time integral with an inverse-square kernel.
 Tr[rho A (1 - rho) A] without the split, using the exact finite-
 temperature sinh^-2 kernel, and is the cross-check that the thermal
 plus shot decomposition must reproduce.
+
+Every public entry point first passes the cycle, at any temperature,
+through `_check_pulse`, the one reader of its window here: a cycle with
+no window, or whose matrix moves outside it or differs on its two
+sides, raises `NonPulseCycle`.
 """
 
 from __future__ import annotations
@@ -37,16 +42,12 @@ KERNEL_NODES = 64
 KERNEL_REACH = 30.0
 
 
-def _window(cycle: PumpCycle) -> tuple[float, float]:
+def _check_pulse(cycle: PumpCycle, mu: float) -> tuple[float, float]:
+    """The window of a pulse, after verifying the matrix is frozen outside
+    it, same value on both sides."""
     if cycle.window is None:
         raise NonPulseCycle("counting statistics need a cycle with a window")
-    return cycle.window
-
-
-def _check_pulse(cycle: PumpCycle, mu: float) -> None:
-    """Verify the matrix is frozen outside the window, same value on both
-    sides."""
-    t0, t1 = _window(cycle)
+    t0, t1 = cycle.window
     span = t1 - t0
     left, right, before, after = cycle.sample_grid(
         mu, [t0, t1, t0 - 0.05 * span, t1 + 0.05 * span])[:, 0]
@@ -59,12 +60,13 @@ def _check_pulse(cycle: PumpCycle, mu: float) -> None:
         raise NonPulseCycle(
             "matrix does not settle to one constant on both sides "
             f"(difference {settle:.2e}); counting integrals do not converge")
+    return t0, t1
 
 
 def mean_transferred_charge(cycle: PumpCycle, state: ThermalState,
                             q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """First cumulant: the integrated adiabatic current per channel."""
-    _window(cycle)
+    _check_pulse(cycle, state.mu)
     return cycle_charge(cycle, state, q)
 
 
@@ -79,7 +81,7 @@ def thermal_noise(cycle: PumpCycle, channel: int, state: ThermalState,
     pulse cumulants.
     """
     _check_channel(cycle, channel)
-    _window(cycle)
+    _check_pulse(cycle, state.mu)
     if state.temperature == 0.0:
         return 0.0
     times, weights = cycle.time_grid(q.n_time)
@@ -104,7 +106,7 @@ def shot_noise_finite_t(cycle: PumpCycle, channel: int, state: ThermalState,
     _check_channel(cycle, channel)
     if state.temperature == 0.0:
         raise ZeroTemperature("use shot_noise_zero_t at zero temperature")
-    _window(cycle)
+    _check_pulse(cycle, state.mu)
     sw = _sweep(cycle, ThermalState(mu=state.mu), q)
     return float(_window_rates(sw.weights @ sw.off, state)[1][channel])
 
@@ -149,8 +151,7 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     a thousand times larger than the answer.
     """
     _check_channel(cycle, channel)
-    _check_pulse(cycle, mu)
-    t0, t1 = _window(cycle)
+    t0, t1 = _check_pulse(cycle, mu)
     times, weights = _simpson(t0, t1, q.n_shot_time)
     n = times.size
 
@@ -211,14 +212,13 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("the direct evaluation needs a thermal kernel")
-    double = _direct_double(cycle, channel, state, q)
-    return thermal_noise(cycle, channel, state, q) + double
+    thermal = thermal_noise(cycle, channel, state, q)
+    return thermal + _direct_double(cycle, channel, state, q)
 
 
 def _direct_double(cycle: PumpCycle, channel: int, state: ThermalState,
                    q: QuadratureSpec) -> float:
-    """Two-time term of `second_cumulant_direct`, after checking the pulse."""
-    _check_pulse(cycle, state.mu)
+    """Two-time term of `second_cumulant_direct` of a checked pulse."""
     mu = state.mu
     pi_t = math.pi * state.temperature
 
@@ -264,11 +264,11 @@ def noise_report(cycle: PumpCycle, channel: int, state: ThermalState,
     if state.temperature == 0.0 and include_direct:
         raise ZeroTemperature("direct second cumulant needs temperature > 0")
     if state.temperature == 0.0:
-        mean = mean_transferred_charge(cycle, state, q)[channel]
         shot = shot_noise_zero_t(cycle, channel, state.mu, q)
+        mean = cycle_charge(cycle, state, q)[channel]
         return NoiseReport(channel=channel, temperature=0.0, mean=float(mean),
                            thermal=0.0, shot=shot, total=shot)
-    _window(cycle)
+    _check_pulse(cycle, state.mu)
     sw = _sweep(cycle, state, q)
     mean = (sw.weights @ sw.charge)[channel]
     thermal = _thermal_from_diag(sw.s_mu[:, channel, channel], state,

@@ -14,6 +14,7 @@ import pytest
 
 import qpump as qp
 from qpump import classical, cli
+from qpump.quadrature import midpoint_grid
 
 SPEC = qp.PlowSpec(height=1.0, speed=0.01, travel_time=10.0)
 
@@ -149,6 +150,48 @@ def test_plow_charges_match_their_closed_forms():
         assert np.max(np.abs(q_direct / direct - 1.0)) < 1e-12
         assert abs(q_direct.sum()) < 1e-12 * abs(direct[0])
         assert np.max(np.abs(qp.plow_charge_bpt(spec, mu) / bpt - 1.0)) < 1e-12
+
+
+def _bisected_charge(spec, mu):
+    """`plow_charge_bpt` through `inverse_scatter` alone: the outcome
+    (channel, encounters, energy) of each exit state's preimage at the
+    midpoint exit times, each cell whose ends differ bisected to
+    `PIECE_TOL`, and the gain summed over the pieces in order."""
+    reach = classical._reach(spec, mu)
+    times, _ = midpoint_grid(-reach, reach, classical.PLOW_NODES)
+    q = np.zeros(2)
+    for lead in (0, 1):
+        def at(t):
+            r = qp.inverse_scatter(spec, mu, t, lead)
+            return t, (r.channel, r.n_events, r.energy)
+
+        def split(a, b):
+            if b[0] - a[0] <= classical.PIECE_TOL:
+                ends.extend((a, b))
+                return
+            m = at(0.5 * (a[0] + b[0]))
+            if m[1] != a[1]:
+                split(a, m)
+            if m[1] != b[1]:
+                split(m, b)
+
+        scan = [at(t) for t in times.tolist()]
+        ends = [scan[0]]
+        for a, b in zip(scan, scan[1:]):
+            if a[1] != b[1]:
+                split(a, b)
+        ends.append(scan[-1])
+        for (t0, (_, _, energy)), (t1, _) in zip(ends[::2], ends[1::2]):
+            q[lead] += (mu - energy) * (t1 - t0)
+    return q / (2.0 * math.pi)
+
+
+def test_plow_charge_is_the_bisected_inverse_map_bit_for_bit():
+    # the charge reads the forward map and its array scan; mirroring and
+    # the bit-equal array loop leave every float as the inverse map has it
+    for spec, mu in _plow_draws(24, 83):
+        assert np.array_equal(qp.plow_charge_bpt(spec, mu),
+                              _bisected_charge(spec, mu))
 
 
 def _filled_excess(spec, mu, t_out, lead, span):

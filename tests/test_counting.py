@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import qpump as qp
+from qpump import counting
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -243,19 +244,59 @@ def test_noise_report_has_one_time_domain():
                               period=5.0, window=WINDOW)
 
 
+COLD = qp.ThermalState(mu=1.0)
+HOT = qp.ThermalState(mu=1.0, temperature=0.5)
+# every counting entry point, at each temperature that it accepts
+GATED = {
+    "mean_transferred_charge": (
+        lambda cyc, st: qp.mean_transferred_charge(cyc, st), (COLD, HOT)),
+    "thermal_noise": (lambda cyc, st: qp.thermal_noise(cyc, 0, st),
+                      (COLD, HOT)),
+    "shot_noise_finite_t": (
+        lambda cyc, st: qp.shot_noise_finite_t(cyc, 0, st), (HOT,)),
+    "shot_noise_zero_t": (
+        lambda cyc, st: qp.shot_noise_zero_t(cyc, 0, st.mu), (COLD,)),
+    "second_cumulant_direct": (
+        lambda cyc, st: qp.second_cumulant_direct(cyc, 0, st), (HOT,)),
+    "noise_report": (lambda cyc, st: qp.noise_report(cyc, 0, st),
+                     (COLD, HOT)),
+    "noise_report-direct": (
+        lambda cyc, st: qp.noise_report(cyc, 0, st, include_direct=True),
+        (HOT,)),
+}
+
+
 def test_non_settling_pulses_are_rejected():
     base = qp.TwoChannelParams(theta=THETA)
     # half a winding leaves different matrices on the two sides
     torn = qp.make_battery_cycle(
         base, phi=lambda t: math.pi * qp.smooth_step(t, *WINDOW),
         window=WINDOW)
-    with pytest.raises(qp.NonPulseCycle):
-        qp.shot_noise_zero_t(torn, 0, 1.0)
     # still ramping past the declared window
     drifting = qp.make_battery_cycle(base, phi=lambda t: 0.1 * t,
                                      window=WINDOW)
-    with pytest.raises(qp.NonPulseCycle):
-        qp.shot_noise_zero_t(drifting, 0, 1.0)
+    for cyc, why in ((torn, "does not settle"), (drifting, "still moving")):
+        for name, (call, states) in GATED.items():
+            for state in states:
+                with pytest.raises(qp.NonPulseCycle, match=why):
+                    call(cyc, state)
+
+
+def test_every_counting_entry_checks_the_pulse_once(monkeypatch):
+    calls = []
+    check = counting._check_pulse
+
+    def counted(cyc, mu):
+        calls.append(mu)
+        return check(cyc, mu)
+
+    monkeypatch.setattr(counting, "_check_pulse", counted)
+    cyc = _battery_pulse()
+    for name, (call, states) in GATED.items():
+        for state in states:
+            calls.clear()
+            call(cyc, state)
+            assert calls == [state.mu], (name, state)
 
 
 def test_finite_t_paths_demand_a_temperature():

@@ -2,7 +2,9 @@
 
 Every S sample that a current, a noise part or a loop row reads comes
 from `transport._sweep`, so the stencil kernel is named only where it
-is defined and in `transport`; a third route to it fails here.
+is defined and in `transport`; a third route to it fails here.  Every
+counting cumulant passes its cycle through `counting._check_pulse`,
+so that is the one function there that reads a cycle's window.
 """
 from __future__ import annotations
 
@@ -31,3 +33,12 @@ def test_only_smatrix_and_transport_name_the_stencil():
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if "stencil" in _names(ast.parse(path.read_text())))
     assert users == ["smatrix.py", "transport.py"]
+
+
+def test_only_the_pulse_gate_reads_a_window_in_counting():
+    # a later entry point that read the window itself could skip the gate
+    tree = ast.parse((PACKAGE / "counting.py").read_text())
+    readers = {getattr(node, "name", "<module>") for node in tree.body
+               if any(isinstance(n, ast.Attribute) and n.attr == "window"
+                      for n in ast.walk(node))}
+    assert readers == {"_check_pulse"}

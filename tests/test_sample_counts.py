@@ -38,6 +38,10 @@ CASES = {
     "noise-direct": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
         ["--grid", "64", "--direct"], 16_580, 4_292),
+    # the sweep's 12,480 and the pulse gate's 4
+    "noise-split": (
+        "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
+        ["--grid", "64"], 12_484, None),
 }
 
 
