@@ -133,10 +133,13 @@ def shot_noise_zero_t(cycle: PumpCycle, channel: int, mu: float,
     The kernel is smooth (B vanishes to second order on the diagonal,
     where the limit is the off-diagonal row weight of the energy shift);
     pairs closer than eps_diag_rel of the window take the mean of the
-    limits at their two nodes.  Outside the window the matrix is
-    constant, so the tails reduce to single integrals against the two
-    edge rows and the corner region drops out exactly; convergence
-    requires the pulse to settle to one constant, which is checked.
+    limits at their two nodes.  At the defaults (513 Simpson nodes) that
+    band holds only coincident nodes, lag 0: being smooth, the kernel
+    needs no limit one step off the diagonal.  Outside the window the
+    matrix is constant, so the tails reduce to single integrals against
+    the two edge rows and the corner region drops out exactly;
+    convergence requires the pulse to settle to one constant, which is
+    checked.
 
     On the uniform Simpson grid both kernels depend on the lag alone, so
     the double sum is a set of Toeplitz quadratic forms, each done by FFT

@@ -25,6 +25,10 @@ class QuadratureSpec:
     cycle's natural time scale (period, or pulse-window length).
     ``n_energy`` Gauss-Legendre points cover the thermal window
     ``mu +- energy_window * T`` in two panels meeting at ``mu``.
+    The zero-temperature shot noise takes Simpson's rule on at least
+    ``n_shot_time`` nodes over the pulse window; node pairs closer than
+    ``eps_diag_rel`` of the window take the diagonal limit, which at the
+    defaults is lag 0 alone (1e-4 is under one step up to 8,192 nodes).
     """
 
     h_e_rel: float = 1e-5
@@ -32,8 +36,8 @@ class QuadratureSpec:
     n_energy: int = 64
     energy_window: float = 30.0
     n_time: int = 512
-    n_shot_time: int = 1024
-    eps_diag_rel: float = 1e-3
+    n_shot_time: int = 512
+    eps_diag_rel: float = 1e-4
     richardson: bool = False
     unitarity_tol: float = 1e-8
     hermiticity_tol: float = 1e-9

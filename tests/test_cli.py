@@ -146,7 +146,7 @@ def test_noise_zero_t_reports_the_shot_integral(tmp_path, capsys):
     code = cli.main(["noise", "--config", _pulse_cfg(tmp_path), "--zero-t"])
     assert code == 0
     summary = _json_out(capsys)["summary"]
-    assert abs(summary["shot_noise"] - 0.2663712615665627) < 1e-9
+    assert abs(summary["shot_noise"] - 0.266371253695161) < 1e-9
     assert summary["thermal_noise"] == 0.0
     assert abs(summary["mean"] - math.sin(0.7) ** 2) < 1e-6
 

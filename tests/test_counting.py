@@ -76,7 +76,9 @@ def test_zero_t_shot_noise_against_closed_kernel():
     oracle = (interior + 2.0 * tails) / (4.0 * math.pi ** 2)
 
     assert abs(got / oracle - 1.0) < 1e-6
-    assert abs(got - 0.2663712615665627) < 1e-9  # pinned against drift
+    # pinned against drift; 8,192 nodes with lag 0 alone read
+    # 0.2663712537024389
+    assert abs(got - 0.266371253695161) < 1e-9
 
 
 @pytest.mark.parametrize("theta, turns", [(THETA, 1), (1.1, -2)])
@@ -150,9 +152,24 @@ def test_zero_t_shot_noise_memory_grows_linearly():
 
 
 def test_random_pulse_regression():
+    # 8,192 nodes with lag 0 alone read 0.0447319952113681
     rng = np.random.default_rng(7)
     cyc = qp.make_pulse_cycle(3, rng)
-    assert abs(qp.shot_noise_zero_t(cyc, 1, 0.9) - 0.0447319965888923) < 1e-9
+    assert abs(qp.shot_noise_zero_t(cyc, 1, 0.9) - 0.0447319951993651) < 1e-9
+
+
+@pytest.mark.parametrize("pulse, channel, mu", [
+    (_battery_pulse, 0, 1.0),
+    (lambda: qp.make_pulse_cycle(3, np.random.default_rng(7)), 1, 0.9)])
+def test_default_zero_t_grid_matches_a_fine_one(pulse, channel, mu):
+    # B vanishes to second order on the diagonal, so only coincident
+    # nodes take the limit; a band reaching lag 1 costs about 3e-8 here
+    assert Q.eps_diag_rel * (Q.n_shot_time + Q.n_shot_time % 2) < 1.0
+    cyc = pulse()
+    fine = replace(Q, n_shot_time=8192, eps_diag_rel=1e-5)
+    got = qp.shot_noise_zero_t(cyc, channel, mu)
+    want = qp.shot_noise_zero_t(cyc, channel, mu, fine)
+    assert abs(got / want - 1.0) < 1e-9
 
 
 def test_finite_t_shot_noise_closed_form():

@@ -8,14 +8,14 @@ charge sum rule also draws whole turns of a global phase.  Stacks of
 up to five plateaus, barriers of decay up to 1000 among wells, must
 give a unitary, reciprocal S whose left reflection stops at the first
 opaque barrier.  The zero-temperature shot noise is held to a dense
-O(N^2) copy of its double sum on random and battery pulses, and to
-zero on the noiseless pumps; on battery pulses whose phase turns n
-whole times, ramping and turning back, it stays above the
-minimal-excitation bound.  The array event loop of the classical plow
-must give the scalar loop's outgoing states bit for bit, on random
-plows (speed 0 included) and at points within 1e-9 of each partition
-boundary.  The draws are derandomized, so a run is reproducible and a
-failure names its example.
+O(N^2) copy of its double sum on random and battery pulses, on drawn
+grids and on the default one, and to zero on the noiseless pumps; on
+battery pulses whose phase turns n whole times, ramping and turning
+back, it stays above the minimal-excitation bound.  The array event
+loop of the classical plow must give the scalar loop's outgoing states
+bit for bit, on random plows (speed 0 included) and at points within
+1e-9 of each partition boundary.  The draws are derandomized, so a run
+is reproducible and a failure names its example.
 """
 from __future__ import annotations
 
@@ -252,6 +252,17 @@ def test_zero_t_shot_noise_matches_the_dense_double_sum(cycle, channel, mu,
     got = qp.shot_noise_zero_t(cycle, channel, mu, q)
     want = _dense_zero_t_shot(cycle, channel, mu, q)
     assert abs(got - want) <= max(1e-12 * abs(want), 1e-13)
+
+
+def test_default_zero_t_shot_noise_matches_the_dense_double_sum():
+    # the drawn specs stay under 257 nodes; this covers the default grid
+    for cycle, channel in (
+            (_swept_pulse(qp.make_battery_cycle, 0.9, 1), 0),
+            (qp.make_pulse_cycle(3, np.random.default_rng(5),
+                                 window=(0.0, 8.0), amplitude=0.6), 1)):
+        got = qp.shot_noise_zero_t(cycle, channel, 1.0)
+        want = _dense_zero_t_shot(cycle, channel, 1.0, Q)
+        assert abs(got - want) <= max(1e-12 * abs(want), 1e-13)
 
 
 @SETTINGS

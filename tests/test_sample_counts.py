@@ -32,9 +32,10 @@ CASES = {
     "geometry-bicycle": (
         "geometry", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
         1_536, None),
+    # 513 x 3 for the shot sweep, 64 x 3 for the mean, 4 for the pulse gate
     "noise-zero-t": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0}},
-        ["--grid", "64", "--zero-t"], 3_271, None),
+        ["--grid", "64", "--zero-t"], 1_735, None),
     "noise-direct": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
         ["--grid", "64", "--direct"], 16_580, 4_292),
