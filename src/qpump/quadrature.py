@@ -10,41 +10,40 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# the stencil's budgets, and each thermal panel's reach from mu in units of T
+UNITARITY_TOL = 1e-8
+HERMITIZATION_FLOOR = 10.0 * 1e-9
+ENERGY_WINDOW = 30.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Knobs for differentiation and integration.
+    """Grid sizes, steps and the difference order that a caller varies.
 
-    Every changeable grid size, finite-difference step and tolerance of
-    the S pipeline is a field here (fixed ones are module constants);
+    The stencil's budgets and the thermal reach are module constants;
     derive another resolution with ``dataclasses.replace(q, n_time=...)``.
 
     Finite-difference steps are relative: the energy step is
     ``h_e_rel * max(E, 1)`` and the time step is ``h_t_rel`` times the
     cycle's natural time scale (period, or pulse-window length).
     ``n_energy`` Gauss-Legendre points cover the thermal window
-    ``mu +- energy_window * T`` in two panels meeting at ``mu``.
+    ``mu +- ENERGY_WINDOW * T`` in two panels meeting at ``mu``.
     The zero-temperature shot noise takes Simpson's rule on at least
     ``n_shot_time`` nodes over the pulse window; node pairs closer than
     ``eps_diag_rel`` of the window take the diagonal limit, which at the
-    defaults is lag 0 alone (1e-4 is under one step up to 8,192 nodes).
+    default is lag 0 alone (under one step up to 10**7 Simpson intervals).
     """
 
     h_e_rel: float = 1e-5
     h_t_rel: float = 1e-5
     n_energy: int = 64
-    energy_window: float = 30.0
     n_time: int = 512
     n_shot_time: int = 512
-    eps_diag_rel: float = 1e-4
+    eps_diag_rel: float = 1e-7
     richardson: bool = False
-    unitarity_tol: float = 1e-8
-    hermiticity_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("h_e_rel", "h_t_rel", "eps_diag_rel", "unitarity_tol",
-                     "hermiticity_tol", "energy_window"):
+        for name in ("h_e_rel", "h_t_rel", "eps_diag_rel"):
             # written so that NaN fails too
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

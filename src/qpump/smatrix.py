@@ -32,7 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonUnitary, NoTimeDomain, StencilOutOfDomain
-from .quadrature import TWO_PI, QuadratureSpec, midpoint_grid, require_count
+from .quadrature import (HERMITIZATION_FLOOR, TWO_PI, UNITARITY_TOL,
+                         QuadratureSpec, midpoint_grid, require_count)
 
 # worst |S S^dagger - 1| `decompose_two_channel` accepts
 DECOMPOSE_TOL = 1e-10
@@ -228,11 +229,11 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitize(a, h, least: float, q: QuadratureSpec) -> tuple[np.ndarray, float]:
+def _hermitize(a, h, least: float) -> tuple[np.ndarray, float]:
     """Hermitian part of difference quotients with step h and the worst
     correction; NonUnitary if a node's correction exceeds its budget
-    10 hermiticity_tol + 100 (h s)^2 s, s = max(least, its max-norm)."""
-    budget = lambda s: 10.0 * q.hermiticity_tol + 100.0 * (h * s) ** 2 * s
+    HERMITIZATION_FLOOR + 100 (h s)^2 s, s = max(least, its max-norm)."""
+    budget = lambda s: HERMITIZATION_FLOOR + 100.0 * (h * s) ** 2 * s
     herm = 0.5 * (a + _dagger(a))
     worst = float(np.max(np.abs(a - herm), initial=0.0))
     if worst <= np.min(budget(least)):    # no node's budget is smaller
@@ -287,7 +288,7 @@ def stencil(cycle: PumpCycle, energies, times,
     """Energy shift (and on request the time delay) on a node grid.
 
     Steps are h_t = h_t_rel * time_scale and h_e = h_e_rel * max(E, 1).
-    NonUnitary is raised past `q.unitarity_tol` or a node's `_hermitize`
+    NonUnitary is raised past `UNITARITY_TOL` or a node's `_hermitize`
     budget, StencilOutOfDomain for a delay at E <= h_e.  Matrix work is
     done once per distinct (unbroadcast) sample.
     """
@@ -304,11 +305,11 @@ def stencil(cycle: PumpCycle, energies, times,
     grid_t = np.concatenate([times] + [times + d for h in steps_t
                                        for d in (h, -h)])
     samples = cycle.sample_grid(energies, grid_t).reshape(-1, n_t, n_e, n, n)
-    _check_unitary(samples, q.unitarity_tol)
+    _check_unitary(samples, UNITARITY_TOL)
     s0, *pm = [_distinct(s) for s in samples]
     s0h = _dagger(s0)
     ds_dt = _difference(pm, ht)
-    shift, resid = _hermitize(1j * ds_dt @ s0h, ht, 1.0 / cycle.time_scale, q)
+    shift, resid = _hermitize(1j * ds_dt @ s0h, ht, 1.0 / cycle.time_scale)
 
     delay_h = ds_de = None
     if delay:
@@ -317,11 +318,11 @@ def stencil(cycle: PumpCycle, energies, times,
                                  for d in (h, -h)])
         around = cycle.sample_grid(grid_e, times)
         around = around.reshape(n_t, -1, n_e, n, n).swapaxes(0, 1)
-        _check_unitary(around, q.unitarity_tol)
+        _check_unitary(around, UNITARITY_TOL)
         pm = [_distinct(s) for s in around]
         he = he[:pm[0].shape[1]]
         ds_de = _difference(pm, he[:, None, None])
-        delay_h, resid_e = _hermitize(-1j * ds_de @ s0h, he, 1.0, q)
+        delay_h, resid_e = _hermitize(-1j * ds_de @ s0h, he, 1.0)
         resid = max(resid, resid_e)
         delay_h, ds_de = (np.broadcast_to(a, shape) for a in (delay_h, ds_de))
     return Stencil(shift=np.broadcast_to(shift, shape), delay=delay_h,

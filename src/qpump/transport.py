@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroTemperature
-from .quadrature import TWO_PI, QuadratureSpec, gauss_legendre
+from .quadrature import ENERGY_WINDOW, TWO_PI, QuadratureSpec, gauss_legendre
 from .smatrix import PumpCycle, Stencil, _distinct, stencil
 
 # 1 / integral_0^1 of the window shape over filling factors:
@@ -101,14 +101,14 @@ def thermal_energy_nodes(state: ThermalState,
     """Quadrature nodes straddling mu for integrands localized by -drho/dE.
 
     Two Gauss-Legendre panels meeting at mu, each reaching out
-    `energy_window` temperatures (the lower one clipped so stencils stay
+    `ENERGY_WINDOW` temperatures (the lower one clipped so stencils stay
     inside the physical band E > 0, but never past mu, where it has no
     weight left); the upper one takes the odd node of an odd `n_energy`.
     """
     if state.temperature == 0.0:
         raise ZeroTemperature("no thermal window at zero temperature")
     half = q.n_energy // 2
-    reach = q.energy_window * state.temperature
+    reach = ENERGY_WINDOW * state.temperature
     floor = max(1e-8, 10.0 * q.h_e_rel * max(state.mu, 1.0))
     lo = min(max(state.mu - reach, floor), state.mu)
     x1, w1 = gauss_legendre(lo, state.mu, half)

@@ -2,18 +2,20 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpump import cli, errors, geometry
+from qpump import cli, errors, geometry, models
 from qpump.errors import PumpError
 from qpump.models import MODEL_KINDS
 from qpump.quadrature import QuadratureSpec
@@ -217,6 +219,11 @@ def test_unopenable_out_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, cfg, line", [
     pytest.param("transport", {"state": {"mux": 1.0}},
                  "state: unknown keys ['mux']", id="unknown-key"),
+    # the stencil's budgets and the thermal reach are constants: no
+    # configuration can loosen them
+    *(pytest.param("transport", {"quadrature": {key: 1000.0}},
+                   f"quadrature: unknown keys ['{key}']", id=f"unknown-{key}")
+      for key in ("hermiticity_tol", "unitarity_tol", "energy_window")),
     pytest.param("classical", {"classical": {"height": "1"}},
                  "classical.height: expected a number", id="not-a-number"),
     pytest.param("noise", {"pulse": {"kind": "random", "n_channels": 2.5}},
@@ -404,11 +411,12 @@ def test_theta_range_violation_exits_2(tmp_path, capsys):
         assert "configuration error" in err and "model.params" in err
 
 
-def test_unitarity_budget_violation_exits_3(tmp_path, capsys):
-    # the battery's S is unitary to ~2e-16, far above a 1e-300 budget
-    cfg = _write(tmp_path, "tight.json",
-                 {"model": {"kind": "battery"},
-                  "quadrature": {"unitarity_tol": 1e-300}})
+def test_unitarity_budget_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # S scaled by 1.001 misses unitarity by 2e-3, far past the 1e-8 budget
+    exact = models.two_channel_matrices
+    monkeypatch.setattr(models, "two_channel_matrices",
+                        lambda *angles: 1.001 * exact(*angles))
+    cfg = _write(tmp_path, "battery.json", {"model": {"kind": "battery"}})
     assert cli.main(["transport", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "invariant violated" in err and "unitarity defect" in err
@@ -601,6 +609,18 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "uturn" in json.loads(proc.stdout)
+
+
+def test_console_script_resolves_to_main(capsys):
+    # the [project.scripts] entry, checked without an installed script
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qpump"]
+    module, _, name = target.partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main is cli.main
+    assert main(["models-list", "--format", "json"]) == 0
+    assert "uturn" in json.loads(capsys.readouterr().out)
 
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):

@@ -163,13 +163,17 @@ def test_random_pulse_regression():
     (lambda: qp.make_pulse_cycle(3, np.random.default_rng(7)), 1, 0.9)])
 def test_default_zero_t_grid_matches_a_fine_one(pulse, channel, mu):
     # B vanishes to second order on the diagonal, so only coincident
-    # nodes take the limit; a band reaching lag 1 costs about 3e-8 here
+    # nodes take the limit; a band reaching lag 1 costs about 3e-8 here,
+    # and at 32,768 nodes, where a band of 1e-4 does reach it, 3.5e-12
     assert Q.eps_diag_rel * (Q.n_shot_time + Q.n_shot_time % 2) < 1.0
+    assert Q.eps_diag_rel * 2 ** 20 < 1.0
     cyc = pulse()
-    fine = replace(Q, n_shot_time=8192, eps_diag_rel=1e-5)
     got = qp.shot_noise_zero_t(cyc, channel, mu)
-    want = qp.shot_noise_zero_t(cyc, channel, mu, fine)
+    want = qp.shot_noise_zero_t(cyc, channel, mu, replace(Q, n_shot_time=8192))
     assert abs(got / want - 1.0) < 1e-9
+    dense = qp.shot_noise_zero_t(cyc, channel, mu,
+                                 replace(Q, n_shot_time=32768))
+    assert abs(dense - want) < 2e-12
 
 
 def test_finite_t_shot_noise_closed_form():

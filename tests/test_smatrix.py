@@ -14,6 +14,7 @@ import pytest
 
 import qpump as qp
 from qpump import classical
+from qpump.quadrature import HERMITIZATION_FLOOR
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -130,10 +131,6 @@ def _with_plow_nodes(n, charge):
     pytest.param(lambda: qp.QuadratureSpec(n_energy=64.0), id="n_energy-float"),
     pytest.param(lambda: qp.QuadratureSpec(n_shot_time=1024.0),
                  id="n_shot_time-float"),
-    pytest.param(lambda: qp.QuadratureSpec(energy_window=math.inf),
-                 id="energy_window-inf"),
-    pytest.param(lambda: qp.QuadratureSpec(hermiticity_tol=math.nan),
-                 id="hermiticity_tol-nan"),
     pytest.param(lambda: qp.QuadratureSpec(h_t_rel=math.nan), id="h_t_rel-nan"),
     pytest.param(lambda: qp.PumpCycle(2, _identity, period=math.nan),
                  id="period-nan"),
@@ -173,6 +170,49 @@ def test_non_finite_or_fractional_inputs_are_refused(make):
     # each would give a wrong or NaN answer if accepted (n_time = 16.5
     # puts 17 midpoint nodes at weight span / 16.5; 0 divides by zero)
     with pytest.raises(ValueError):
+        make()
+
+
+# a plaquette whose overlap product is -1/4: its loop phase is a half turn
+_R = math.sqrt(0.5)
+_HALF_TURN = np.array([[[1.0, 0.0], [_R, -_R]], [[_R, _R], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("make, error, match", [
+    pytest.param(lambda: qp.global_angle(np.ones((1, 2))), ValueError,
+                 r"need a \(n_samples, dim\) array", id="global_angle-shape"),
+    pytest.param(lambda: qp.plaquette_phases(_HALF_TURN), qp.GridTooCoarse,
+                 "half a turn", id="plaquette-half-turn"),
+    pytest.param(lambda: qp.plaquette_phases(np.ones((4, 2))), ValueError,
+                 r"need a \(nu, nv, dim\) array", id="plaquette-ndim"),
+    pytest.param(lambda: qp.winding_number(np.array([1.0, 1j])), ValueError,
+                 ">= 3 samples", id="winding-two-samples"),
+    pytest.param(lambda: qp.spherical_polygon_area(np.ones((3, 2))),
+                 ValueError, r"need a \(n, 3\) path", id="sphere-shape"),
+    pytest.param(lambda: qp.spherical_polygon_area(2.0 * np.eye(3)),
+                 ValueError, "unit sphere", id="sphere-off"),
+    pytest.param(lambda: qp.PiecewisePotential((0.0, 1.0), (1.0, 2.0)),
+                 ValueError, r"len\(edges\)", id="piecewise-lengths"),
+    pytest.param(lambda: qp.PiecewisePotential((0.0, 0.0, 1.0), (1.0, 2.0)),
+                 ValueError, "strictly increasing", id="piecewise-order"),
+    pytest.param(lambda: qp.PumpCycle(2, lambda e, t: np.eye(3), period=1.0)
+                 .sample(1.0, 0.0), ValueError,
+                 r"evaluate returned shape \(3, 3\), expected \(2, 2\)",
+                 id="sample-shape"),
+    pytest.param(lambda: qp.decompose_two_channel(np.eye(3)), ValueError,
+                 "expected a 2x2 matrix", id="decompose-shape"),
+    pytest.param(lambda: qp.entropy_weight(1.5), ValueError,
+                 r"filling factor must lie in \[0, 1\]", id="entropy-filling"),
+    pytest.param(lambda: qp.noise_weight(-0.1), ValueError,
+                 r"filling factor must lie in \[0, 1\]", id="noise-filling"),
+    pytest.param(lambda: qp.thermal_energy_nodes(qp.ThermalState(mu=1.0),
+                                                 qp.QuadratureSpec()),
+                 qp.ZeroTemperature, "no thermal window", id="thermal-nodes-T0"),
+    pytest.param(lambda: qp.classical_battery_shift(1.0, 1.0), ValueError,
+                 "too slow", id="battery-shift-slow"),
+])
+def test_malformed_inputs_are_refused(make, error, match):
+    with pytest.raises(error, match=match):
         make()
 
 
@@ -261,4 +301,4 @@ def test_hermitization_budget_scales_with_step():
     cyc = qp.make_random_analytic_cycle(2, rng)
     coarse = replace(Q, h_e_rel=8e-3, h_t_rel=8e-3)
     d = qp.differential_data(cyc, 1.0, 0.3, coarse)
-    assert d.hermitization_residual > 10.0 * coarse.hermiticity_tol
+    assert d.hermitization_residual > HERMITIZATION_FLOOR
