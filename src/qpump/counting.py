@@ -28,17 +28,19 @@ import numpy as np
 
 from .errors import NonPulseCycle, ZeroTemperature
 from .geometry import _check_channel, row_states
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, _sinh_kernel_rule
+# uncalled here; benchmarks/tracer.py binds qpump.counting.gauss_legendre
+from .quadrature import gauss_legendre  # noqa: F401
 from .smatrix import PumpCycle
 from .transport import ThermalState, _sweep, _window_rates, cycle_charge
 
 # largest |S(t0) - S(t1)| of a pulse that counts as settled
 SETTLE_TOL = 1e-6
-# Gauss-Legendre rule of the inner x = pi T (t - t') integral of
-# `second_cumulant_direct`: node count and reach in x.  The count must
-# stay even, so that no node lands on x = 0, where the integrand
-# b / sinh^2 x is 0 / 0.
-KERNEL_NODES = 64
+# Gauss rule for the weight x^2 / sinh^2 x of the inner x = pi T (t - t')
+# integral of `second_cumulant_direct`: node count and reach in x.  The
+# count stays even: an odd rule of an even weight has a node at x = 0,
+# where the integrand b / x^2 is 0 / 0.
+KERNEL_NODES = 16
 KERNEL_REACH = 30.0
 
 
@@ -209,8 +211,10 @@ def second_cumulant_direct(cycle: PumpCycle, channel: int,
     single-time term, T/pi * integral of (1 - |S_jj|^2), plus a two-time
     term with the kernel (pi T)^2 / sinh^2(pi T (t - t')).  The inner
     integral is substituted to x = pi T (t - t') and done on its own
-    Gauss-Legendre grid, so the kernel width never constrains the outer
-    grid.  The matrix is taken at mu (wide band), matching the
+    grid, so the kernel width never constrains the outer grid: a
+    16-point (`KERNEL_NODES`) Gauss rule for the weight x^2 / sinh^2 x,
+    applied to b / x^2.  The count is even, so that no node lands on
+    x = 0.  The matrix is taken at mu (wide band), matching the
     conventions of the split formulas this cross-checks.
     """
     if state.temperature == 0.0:
@@ -226,17 +230,16 @@ def _direct_double(cycle: PumpCycle, channel: int, state: ThermalState,
     pi_t = math.pi * state.temperature
 
     times, weights = cycle.time_grid(q.n_time)
-    x, wx = gauss_legendre(-KERNEL_REACH, KERNEL_REACH, KERNEL_NODES)
+    x, wx = _sinh_kernel_rule(KERNEL_NODES, KERNEL_REACH)
     s = x / pi_t
-    # the rule on [-R, R] is mirrored bit for bit (leggauss symmetrizes
-    # its nodes and the centre is 0.0), so t - s_k / 2 is t + s_(n-1-k) / 2
+    # the rule is mirrored bit for bit, so t - s_k / 2 is t + s_(n-1-k) / 2
     # and the rows at t - s / 2 are those at t + s / 2 read backwards
     pairs = times[:, None] + 0.5 * s
     after = row_states(cycle, channel, mu, pairs).reshape(*pairs.shape, -1)
     before = after[:, ::-1]
     overlap = np.sum(before.conj() * after, axis=-1)
     b = 1.0 - np.abs(overlap) ** 2
-    inner = np.sum(wx * b / np.sinh(x) ** 2, axis=1)
+    inner = np.sum(wx * b / x ** 2, axis=1)
     return float(weights @ inner) * pi_t / (4.0 * math.pi ** 2)
 
 

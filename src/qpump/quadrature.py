@@ -73,6 +73,36 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
+@functools.lru_cache
+def _sinh_kernel_rule(n: int, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss rule for the weight x^2 / sinh^2 x on
+    [-reach, reach], mirrored bit for bit.
+
+    Discretized Stieltjes on 32-point Gauss-Legendre panels of width
+    about 1 gives the recurrence; the Jacobi matrix's eigenpairs give
+    nodes and weights (Golub-Welsch).  The weight is even, so every
+    alpha is 0 and only the betas are computed.
+    """
+    edges = np.linspace(-reach, reach, math.ceil(2.0 * reach) + 1)
+    x, w = _legendre_rule(32)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+    v = (half * w).ravel() * (t / np.sinh(t)) ** 2
+    beta = np.empty(n)
+    beta[0] = v.sum()
+    before, p = np.zeros_like(t), np.full_like(t, beta[0] ** -0.5)
+    for k in range(1, n):
+        q = t * p - math.sqrt(beta[k - 1]) * before
+        beta[k] = v @ q ** 2
+        before, p = p, q / math.sqrt(beta[k])
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(beta[1:]), 1), UPLO="U")
+    weights = beta[0] * vectors[0] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def midpoint_grid(t0: float, t1: float, n: int) -> tuple[np.ndarray, float]:
     """Midpoint nodes on [t0, t1] and the common weight.
 

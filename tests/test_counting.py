@@ -218,6 +218,78 @@ def test_direct_cumulant_matches_thermal_plus_shot():
     assert abs(rep.total - rep.thermal - rep.shot) < 1e-14
 
 
+def _random_pulse() -> qp.PumpCycle:
+    return qp.make_pulse_cycle(3, np.random.default_rng(7), WINDOW)
+
+
+def _two_time_reference(cyc, state, q, panels: int, n: int) -> float:
+    """The two-time term of `second_cumulant_direct` from scratch, with
+    n Gauss-Legendre nodes in each of `panels` equal panels of x and the
+    rows u, v at t -+ s / 2 sampled on their own.
+
+    b = 1 - |<u|v>|^2 is taken as sum_ij |u_i v_j - u_j v_i|^2 / 2
+    (Lagrange's identity for unit rows), which stays accurate to its
+    last bits as the rows meet at x -> 0, where 1 / sinh^2 x amplifies.
+    """
+    edges = np.linspace(-counting.KERNEL_REACH, counting.KERNEL_REACH,
+                        panels + 1)
+    parts = [qp.gauss_legendre(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
+    x, w = (np.concatenate(p) for p in zip(*parts))
+    pi_t = math.pi * state.temperature
+    times, weights = cyc.time_grid(q.n_time)
+
+    def rows(ts):
+        return cyc.sample_grid(state.mu, ts)[:, 0, 0].reshape(*ts.shape, -1)
+
+    half = 0.5 * x / pi_t
+    u, v = rows(times[:, None] - half), rows(times[:, None] + half)
+    wedge = u[..., :, None] * v[..., None, :]
+    b = 0.5 * np.sum(np.abs(wedge - np.swapaxes(wedge, -1, -2)) ** 2,
+                     axis=(-1, -2))
+    inner = b / np.sinh(x) ** 2 @ w
+    return float(weights @ inner) * pi_t / (4.0 * math.pi ** 2)
+
+
+@pytest.mark.parametrize("temperature", [8.0, 16.0])
+def test_direct_kernel_matches_a_fine_legendre_rule(temperature):
+    # against 4,096 nodes: the old 64-node Gauss-Legendre rule missed by
+    # 1.9e-4 here, the fitted rule by 3e-11 and 4e-11
+    cyc = _random_pulse()
+    state = qp.ThermalState(mu=1.0, temperature=temperature)
+    q = replace(Q, n_time=64)
+    got = counting._direct_double(cyc, 0, state, q)
+    want = _two_time_reference(cyc, state, q, 128, 32)
+    assert abs(got / want - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_direct_kernel_is_no_worse_than_64_legendre_nodes_when_cold(
+        temperature):
+    # b varies within the kernel's width here, so neither rule is exact:
+    # against 1,024 nodes the fitted rule misses by 7e-4, 2e-5 and 5e-7
+    # of the term at T = 0.5, 1 and 2, the 64-node one by 1.2e-3, 2.7e-4
+    # and 2e-4
+    cyc = _random_pulse()
+    state = qp.ThermalState(mu=1.0, temperature=temperature)
+    q = replace(Q, n_time=64)
+    want = _two_time_reference(cyc, state, q, 32, 32)
+    got = counting._direct_double(cyc, 0, state, q)
+    old = _two_time_reference(cyc, state, q, 1, 64)
+    assert abs(got - want) <= abs(old - want)
+
+
+def test_worst_c09_pulse_keeps_its_margin():
+    # the worst of 60,040 generated pulse-noise jobs (seed 21, job 161):
+    # 9.05e-7 with 64 Gauss-Legendre kernel nodes, 7.59e-7 with the fitted
+    # rule and with a fine one, so the rest is the split's gradient error
+    cyc = qp.make_pulse_cycle(3, np.random.default_rng(304006440), WINDOW,
+                              0.662080961857819)
+    state = qp.ThermalState(mu=1.0, temperature=8.191032681210572)
+    rep = qp.noise_report(cyc, 0, state, replace(Q, n_time=64),
+                          include_direct=True)
+    assert abs(rep.total - rep.direct) / rep.direct < 8e-7
+
+
 @pytest.mark.parametrize("make", [_battery_pulse,
                                   lambda: qp.make_pulse_cycle(
                                       3, np.random.default_rng(7), WINDOW)])

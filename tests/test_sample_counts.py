@@ -36,9 +36,11 @@ CASES = {
     "noise-zero-t": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0}},
         ["--grid", "64", "--zero-t"], 1_735, None),
+    # the split's sweep 12,480 (192 distinct), the kernel's 64 x 16 pairs
+    # and the pulse gate's 4
     "noise-direct": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
-        ["--grid", "64", "--direct"], 16_580, 4_292),
+        ["--grid", "64", "--direct"], 13_508, 1_220),
     # the sweep's 12,480 and the pulse gate's 4
     "noise-split": (
         "noise", {"pulse": PULSE, "state": {"mu": 1.0, "temperature": 12.0}},
