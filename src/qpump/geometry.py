@@ -13,9 +13,11 @@ two channels, from the solid angle swept on the Bloch sphere by the
 phase-invariant image of the row (fraction of a charge mod 1).
 
 All discrete formulas use gauge-invariant overlap products, so no phase
-fixing of the sampled states is ever needed.  The rows of S are also a
-continuous section, which `cylinder_charge` holds to Luscher's
-admissibility rule (`_check_admissible`).
+fixing of the sampled states is ever needed; a patch is read once into
+the link overlaps of Fukui, Hatsugai & Suzuki, J. Phys. Soc. Jpn. 74,
+1674 (2005).  The rows of S are also a continuous section, which
+`cylinder_charge` holds to Luscher's admissibility rule on the same
+links (`_check_admissible`).
 """
 
 from __future__ import annotations
@@ -111,23 +113,14 @@ def plaquette_phases(grid: np.ndarray, wrap_u: bool = False,
     +-pi mean the discretization cannot resolve the curvature; a flux
     that wraps past them to a small value gives a Stokes residual 2 pi k.
     """
-    grid = _closed(grid, wrap_u, wrap_v)
-    p00 = grid[:-1, :-1]
-    p10 = grid[1:, :-1]
-    p11 = grid[1:, 1:]
-    p01 = grid[:-1, 1:]
-    # angle of the overlap product, so per-sample gauge choices drop out
-    chi = np.angle(_links(p00, p10) * _links(p10, p11)
-                   * _links(p11, p01) * _links(p01, p00))
-    if np.any(np.abs(chi) > 2.8):
-        raise GridTooCoarse(
-            "plaquette phase close to half a turn; refine the patch")
-    return chi
+    return _flux(*_link_overlaps(grid, wrap_u, wrap_v))
 
 
-def _closed(grid: np.ndarray, wrap_u: bool, wrap_v: bool) -> np.ndarray:
-    """A (nu, nv, dim) patch of states with each wrapped axis closed
-    through a copy of its first row or column."""
+def _link_overlaps(grid: np.ndarray, wrap_u: bool,
+                   wrap_v: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Link overlaps u (i, j) -> (i + 1, j) and v (i, j) -> (i, j + 1)
+    of a (nu, nv, dim) patch of states, each wrapped axis closed through
+    a copy of its first row or column."""
     grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ValueError("need a (nu, nv, dim) array of states")
@@ -135,44 +128,45 @@ def _closed(grid: np.ndarray, wrap_u: bool, wrap_v: bool) -> np.ndarray:
         grid = np.concatenate([grid, grid[:1]], axis=0)
     if wrap_v:
         grid = np.concatenate([grid, grid[:, :1]], axis=1)
-    return grid
+    return _links(grid[:-1], grid[1:]), _links(grid[:, :-1], grid[:, 1:])
+
+
+def _flux(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`plaquette_phases` from the link overlaps of `_link_overlaps`."""
+    # angle of the overlap product, so per-sample gauge choices drop out
+    chi = np.angle(u[:, :-1] * v[1:] * u[:, 1:].conj() * v[:-1].conj())
+    if np.any(np.abs(chi) > 2.8):
+        raise GridTooCoarse(
+            "plaquette phase close to half a turn; refine the patch")
+    return chi
 
 
 def _check_admissible(grid: np.ndarray, wrap_u: bool = False,
-                      wrap_v: bool = False) -> None:
-    """GridTooCoarse unless every plaquette's four wrapped link angles, in
-    the states' own gauge, sum to less than pi in magnitude (Luscher,
-    Commun. Math. Phys. 85, 39 (1982)).
+                      wrap_v: bool = False) -> np.ndarray:
+    """`plaquette_phases` of an admissible patch: GridTooCoarse unless
+    every plaquette's four wrapped link angles, in the states' own gauge,
+    sum to less than pi in magnitude (Luscher, Commun. Math. Phys. 85, 39
+    (1982)).
 
     For a continuous section, such as the rows of S, this catches a phase
     that winds by 2 pi inside one plaquette, around a zero of a
     component: the overlaps of `plaquette_phases` cannot see it, and a
     closed surface would read a Chern number where the section forces 0.
     """
-    grid = _closed(grid, wrap_u, wrap_v)
-    du = np.angle(_links(grid[:-1], grid[1:]))
-    dv = np.angle(_links(grid[:, :-1], grid[:, 1:]))
+    u, v = _link_overlaps(grid, wrap_u, wrap_v)
+    du, dv = np.angle(u), np.angle(v)
     own = du[:, :-1] + dv[1:] - du[:, 1:] - dv[:-1]
     # written so that NaN fails too
     if not np.all(np.abs(own) < math.pi):
         raise GridTooCoarse("a plaquette's own link angles sum to half a "
                             "turn or more; refine the grid")
+    return _flux(u, v)
 
 
 def surface_flux(grid: np.ndarray, wrap_u: bool = False,
                  wrap_v: bool = False) -> float:
     """Total discrete curvature flux through a patch of states."""
     return float(np.sum(plaquette_phases(grid, wrap_u, wrap_v)))
-
-
-def boundary_states(grid: np.ndarray) -> np.ndarray:
-    """Counterclockwise boundary loop of an open patch, corners once."""
-    grid = np.asarray(grid)
-    bottom = grid[:-1, 0]
-    right = grid[-1, :-1]
-    top = grid[:0:-1, -1]
-    left = grid[0, :0:-1]
-    return np.concatenate([bottom, right, top, left], axis=0)
 
 
 def stokes_residual(grid: np.ndarray) -> float:
@@ -182,11 +176,12 @@ def stokes_residual(grid: np.ndarray) -> float:
     fine enough that no loop phase wraps, this is a roundoff-level
     identity; it is the discrete form of the charge-as-curvature
     statement.  A residual of 2 pi k means an unresolved patch: k
-    plaquette phases wrapped.
+    plaquette phases wrapped.  The rim reuses the plaquettes' links.
     """
-    flux = surface_flux(grid)
-    line = global_angle(boundary_states(grid))
-    return abs(flux - line)
+    u, v = _link_overlaps(grid, False, False)
+    rim = np.concatenate([u[:, 0], v[-1], u[::-1, -1].conj(),
+                          v[0, ::-1].conj()])
+    return abs(float(np.sum(_flux(u, v))) - float(np.sum(np.angle(rim))))
 
 
 def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -194,9 +189,9 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
 
     Fourier sums of mode numbers 1 and 2 (amplitude 0.6 / (m n)) with a
     constant offset keep the vectors away from zero before normalization.
-    A draw that comes near zero at a node, or that `plaquette_phases` or
-    `_check_admissible` (in the normalized gauge) refuses, is unresolved
-    on the grid and drawn again.
+    A draw that comes near zero at a node, or that `_check_admissible`
+    (in the normalized gauge, with the plaquette guard it applies)
+    refuses, is unresolved on the grid and drawn again.
     """
     u = np.linspace(0.0, 1.0, 24)[:, None, None]
     v = np.linspace(0.0, 1.0, 24)[None, :, None]
@@ -215,7 +210,6 @@ def random_smooth_patch(rng: np.random.Generator, dim: int) -> np.ndarray:
         return random_smooth_patch(rng, dim)
     vec = vec / norms
     try:
-        plaquette_phases(vec)
         _check_admissible(vec)
     except GridTooCoarse:
         return random_smooth_patch(rng, dim)
@@ -232,8 +226,8 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
     Valid when the frozen matrix is constant in time at the band bottom
     (the zero-energy boundary loop then carries no angle); this is
     checked and RegionTouchesDiscontinuity raised otherwise.  The energy
-    grid includes both ends, the time grid wraps periodically.  The rows
-    are held to `_check_admissible`.
+    grid includes both ends, the time grid wraps periodically.  It sums
+    the plaquettes that `_check_admissible` admits.
     """
     times = _period_times(cycle, q)
     _check_channel(cycle, channel)
@@ -249,8 +243,7 @@ def cylinder_charge(cycle: PumpCycle, channel: int, mu: float,
         raise RegionTouchesDiscontinuity(
             "frozen matrix moves at zero energy (drift "
             f"{drift:.2e}); cylinder flux does not equal the charge")
-    _check_admissible(grid, wrap_v=True)
-    return -surface_flux(grid, wrap_u=False, wrap_v=True) / TWO_PI
+    return -float(np.sum(_check_admissible(grid, wrap_v=True))) / TWO_PI
 
 
 # ---------------------------------------------------------------------------

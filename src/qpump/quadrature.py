@@ -84,10 +84,9 @@ def _sinh_kernel_rule(n: int, reach: float) -> tuple[np.ndarray, np.ndarray]:
     alpha is 0 and only the betas are computed.
     """
     edges = np.linspace(-reach, reach, math.ceil(2.0 * reach) + 1)
-    x, w = _legendre_rule(32)
-    half = 0.5 * np.diff(edges)[:, None]
-    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
-    v = (half * w).ravel() * (t / np.sinh(t)) ** 2
+    t, v = map(np.ravel,
+               gauss_legendre(edges[:-1, None], edges[1:, None], 32))
+    v *= (t / np.sinh(t)) ** 2
     beta = np.empty(n)
     beta[0] = v.sum()
     before, p = np.zeros_like(t), np.full_like(t, beta[0] ** -0.5)

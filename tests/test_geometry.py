@@ -253,3 +253,61 @@ def test_rows_over_a_closed_surface_carry_no_chern_number():
     rows = _torus_rows(256)
     geometry._check_admissible(rows, wrap_u=True, wrap_v=True)
     assert abs(qp.surface_flux(rows, wrap_u=True, wrap_v=True)) < 1e-12
+
+
+class _StubRng:
+    """`normal` of `default_rng(seed)`, with the first `zeros` calls
+    returning zeros; `calls` counts them all."""
+
+    def __init__(self, seed: int, zeros: int = 0):
+        self._rng = np.random.default_rng(seed)
+        self.zeros = zeros
+        self.calls = 0
+
+    def normal(self, size):
+        self.calls += 1
+        if self.calls <= self.zeros:
+            return np.zeros(size)
+        return self._rng.normal(size=size)
+
+
+# `normal` calls per `random_smooth_patch` draw: the offset and 16
+# Fourier terms, real and imaginary parts each
+_NORMALS_PER_DRAW = 34
+
+
+def test_each_lattice_formula_reads_the_links_once(monkeypatch):
+    # one pass along u and one along v, shared by the plaquette flux,
+    # the admissibility rule and the Stokes rim
+    patch = qp.random_smooth_patch(np.random.default_rng(31), dim=2)
+    cyc = qp.make_random_analytic_cycle(2, np.random.default_rng(43),
+                                        zero_energy_flat=True)
+    links = geometry._links
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return links(a, b)
+
+    monkeypatch.setattr(geometry, "_links", counted)
+    rng = _StubRng(31)
+    runs = {"plaquette_phases": lambda: qp.plaquette_phases(patch),
+            "stokes_residual": lambda: qp.stokes_residual(patch),
+            "cylinder_charge": lambda: qp.cylinder_charge(cyc, 0, 0.8, Q),
+            "random_smooth_patch": lambda: qp.random_smooth_patch(rng, 2)}
+    passes = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        passes[name] = len(calls)
+    assert rng.calls == _NORMALS_PER_DRAW    # one draw, accepted
+    assert passes == dict.fromkeys(runs, 2)
+
+
+def test_random_smooth_patch_redraws_a_field_near_zero():
+    # the whole first draw is zero, so its norm is below 1e-3 everywhere
+    rng = _StubRng(31, zeros=_NORMALS_PER_DRAW)
+    patch = qp.random_smooth_patch(rng, dim=2)
+    assert rng.calls >= 2 * _NORMALS_PER_DRAW
+    assert np.allclose(np.linalg.norm(patch, axis=-1), 1.0, atol=1e-14)
+    geometry._check_admissible(patch)

@@ -1,10 +1,11 @@
 """Which modules of the package may reach which kernel.
 
-Every S sample that a current, a noise part or a loop row reads comes
-from `transport._sweep`, so the stencil kernel is named only where it
-is defined and in `transport`; a third route to it fails here.  Every
-counting cumulant passes its cycle through `counting._check_pulse`,
-so that is the one function there that reads a cycle's window.
+The stencil kernel is named only where it is defined, in `smatrix`,
+and in `transport`, which wraps it in `_sweep` for every other module;
+a third module that named it would be a second route to the kernel,
+and fails here.  Every counting cumulant passes its cycle through
+`counting._check_pulse`, so that is the one function there that reads
+a cycle's window.
 """
 from __future__ import annotations
 
