@@ -7,10 +7,10 @@ dissipation current averages the squared matrix instead, and the excess
 over the charge bound comes from the off-diagonal row weight, which also
 feeds the entropy and noise currents at finite temperature.
 
-Every current and cycle integral reads one `_Sweep`, a single stencil
-of the shift over a time grid and the thermal nodes with mu last; its
+Every current, cycle integral and sum-rule check reads one `_Sweep`,
+one pass of S over a time grid and the thermal nodes with mu last; its
 row weight and S at mu also give the pulse noise of `counting` and the
-loop rows of `qpump geometry`.  The sum rule has its own stencil.
+loop rows of `qpump geometry`.
 Every time integral is `weights @ series`, weights from `time_grid`.
 """
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ZeroTemperature
 from .quadrature import ENERGY_WINDOW, TWO_PI, QuadratureSpec, gauss_legendre
-from .smatrix import PumpCycle, Stencil, _distinct, stencil
+from .smatrix import (PumpCycle, _derivative, _distinct, _offsets, _sample,
+                      _steps, stencil)
 
 # 1 / integral_0^1 of the window shape over filling factors:
 # -x ln x - (1-x) ln(1-x) integrates to 1/2, x (1-x) to 1/6.
@@ -149,11 +150,12 @@ def _thermal_average(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, squared row norm and off-diagonal row weight of Hermitian
-    energy-shift matrices, shape (..., n, n), from the distinct ones."""
+    energy-shift matrices, shape (..., n, n), from the distinct ones; C
+    order, which `_thermal_average` reads several times faster."""
     d = _distinct(shift)
     diag = np.real(np.diagonal(d, axis1=-2, axis2=-1))
     rows = np.sum(np.abs(d) ** 2, axis=-1)
-    return tuple(np.broadcast_to(a, shift.shape[:-1])
+    return tuple(np.broadcast_to(np.ascontiguousarray(a), shift.shape[:-1])
                  for a in (diag, rows, rows - diag ** 2))
 
 
@@ -173,24 +175,39 @@ class _Sweep:
     heat: np.ndarray
     off: np.ndarray
     s_mu: np.ndarray
+    bk_residual: float | None = None    # the sum rule's, if asked for
 
 
 def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
-           grid=None) -> _Sweep:
+           grid=None, sum_rule_every: int | None = None) -> _Sweep:
     """One stencil on a `(times, weights)` grid (`cycle.time_grid(n_time)`
     by default) and the nodes of `_thermal_mass`, with mu as the last
-    node: appended at finite temperature, the only one at zero."""
+    node: appended at finite temperature, the only one at zero.  With
+    k = `sum_rule_every` the same samples give the sum rule at times[::k]."""
     times, weights = cycle.time_grid(q.n_time) if grid is None else grid
+    times = np.ravel(np.asarray(times, dtype=float))
     energies, mass = _thermal_mass(state, q)
     if state.temperature > 0.0:
         energies = np.append(energies, state.mu)
-    st = stencil(cycle, energies, times, q)
-    diag, rows, off = _row_weights(st.shift)
-    m = mass.size
+    ht = _steps(cycle, energies, q)[1]
+    steps = _offsets(times, ht, q.richardson)
+    checked = times[::sum_rule_every] if sum_rule_every else times[:0]
+    s = _sample(cycle, energies, np.concatenate(
+        [times, *steps, *_offsets(checked, ht / 2, False)]))
+    m, least = mass.size, 1.0 / cycle.time_scale
+    sweep, half = np.split(s, [times.size * (1 + len(steps))])
+    blocks = sweep.reshape(-1, times.size, *s.shape[1:])
+    diag, rows, off = _row_weights(_derivative(blocks, ht, least)[1])
+    bk = None
+    if sum_rule_every:
+        half = half.reshape(2, -1, *s.shape[1:])
+        bk = _sum_rule_residual([b[::sum_rule_every, :m] for b in blocks[:3]]
+                                + [b[:, :m] for b in half], ht, mass, least)
     return _Sweep(times=times, weights=weights,
                   charge=_thermal_average(diag[:, :m], mass) / TWO_PI,
                   heat=_thermal_average(rows[:, :m], mass) / (2.0 * TWO_PI),
-                  off=off[:, -1], s_mu=np.array(st.samples[0][:, -1]))
+                  off=off[:, -1], s_mu=np.array(blocks[0][:, -1]),
+                  bk_residual=bk)
 
 
 def bpt_current(cycle: PumpCycle, time: float, state: ThermalState,
@@ -263,16 +280,13 @@ def _wrap_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def _det_phase_rates(st: Stencil) -> np.ndarray:
-    """d/dt arg det S at the nodes of a Richardson stencil, from its samples.
-
-    Local phase increments are wrapped to (-pi, pi], which is safe for
-    the small stencil steps used here.
-    """
-    det = np.linalg.det(_distinct(st.samples))
-    _, plus, minus, plus2, minus2 = np.angle(
-        np.broadcast_to(det, st.samples.shape[:-2]))
-    h = st.h_t
+def _det_phase_rates(pm, h: float) -> np.ndarray:
+    """d/dt arg det S to fourth order from S at t + h, t - h, t + h/2 and
+    t - h/2, four stacks (..., n, n).  Local phase increments are wrapped
+    to (-pi, pi], which is safe for the small stencil steps used here."""
+    plus, minus, plus2, minus2 = (
+        np.angle(np.broadcast_to(np.linalg.det(_distinct(s)), s.shape[:-2]))
+        for s in pm)
     d1 = _wrap_angle(plus - minus) / (2.0 * h)
     d2 = _wrap_angle(plus2 - minus2) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
@@ -282,7 +296,18 @@ def det_phase_rate(cycle: PumpCycle, energy: float, time: float,
                    q: QuadratureSpec = QuadratureSpec()) -> float:
     """d/dt of arg det S(E, t) by Richardson-extrapolated differences."""
     st = stencil(cycle, energy, time, replace(q, richardson=True))
-    return float(_det_phase_rates(st)[0, 0])
+    return float(_det_phase_rates(st.samples[1:], st.h_t)[0, 0])
+
+
+def _sum_rule_residual(blocks, h: float, mass, least: float) -> float:
+    """Worst |summed currents + (1/2 pi) d/dt arg det S|, thermally averaged
+    over `mass`, from S at t, t + h, t - h, t + h/2, t - h/2 (five
+    (N, M, n, n) stacks), both sides by fourth-order differences."""
+    shift = _derivative(blocks, h, least)[1]
+    total = np.sum(_thermal_average(_row_weights(shift)[0], mass) / TWO_PI,
+                   axis=-1)
+    rate = _thermal_average(_det_phase_rates(blocks[1:], h), mass)
+    return float(np.max(np.abs(total + rate / TWO_PI), initial=0.0))
 
 
 def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
@@ -293,16 +318,11 @@ def birman_krein_residual(cycle: PumpCycle, state: ThermalState,
     The summed channel currents must equal -1/(2 pi) d/dt arg det S,
     thermally averaged; both sides use fourth-order differencing so the
     residual probes the identity rather than the stencil.  Both come
-    from the same stencil samples.
+    from the samples of one `_sweep` over `times`, as in
+    `transport_report`, which gives the same number bit for bit.
     """
-    if times is None:
-        times, _ = cycle.time_grid(16)
-    energies, mass = _thermal_mass(state, q)
-    st = stencil(cycle, energies, times, replace(q, richardson=True))
-    total = np.sum(_thermal_average(_row_weights(st.shift)[0], mass) / TWO_PI,
-                   axis=-1)
-    rate = _thermal_average(_det_phase_rates(st), mass)
-    return float(np.max(np.abs(total + rate / TWO_PI), initial=0.0))
+    grid = cycle.time_grid(16) if times is None else (times, None)
+    return _sweep(cycle, state, q, grid, sum_rule_every=1).bk_residual
 
 
 @dataclass(frozen=True)
@@ -326,15 +346,14 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
     """One-stop cycle summary used by the command-line front end.
 
     One sweep covers every time node and every thermal node, plus mu
-    itself at finite temperature for the entropy and noise currents; the
-    sum rule is checked on about eight of the time nodes.
+    itself at finite temperature for the entropy and noise currents;
+    the same samples give the sum rule, `birman_krein_residual` on
+    about eight of the time nodes, times[::n_time // 8].
     """
-    sw = _sweep(cycle, state, q)
+    sw = _sweep(cycle, state, q, sum_rule_every=q.n_time // 8)
     times, w, charge, diss = sw.times, sw.weights, sw.charge, sw.heat
     finite_t = state.temperature > 0.0
     ent, noi = _window_rates(sw.off, state) if finite_t else (None, None)
-    bk = birman_krein_residual(cycle, state, q,
-                               times[:: max(times.size // 8, 1)])
     return TransportReport(
         times=times,
         charge_rate=charge,
@@ -345,5 +364,5 @@ def transport_report(cycle: PumpCycle, state: ThermalState,
         heat=w @ diss,
         entropy=w @ ent if finite_t else None,
         noise=w @ noi if finite_t else None,
-        bk_residual=bk,
+        bk_residual=sw.bk_residual,
     )

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from qpump import cli
+from qpump import QuadratureSpec, ThermalState, cli, transport_report
+from qpump.models import ModelSpec, make_pump
 from qpump.smatrix import PumpCycle
 
 BATTERY = {"kind": "battery", "params": {"theta": 0.9}}
@@ -22,13 +24,17 @@ PULSE = {"kind": "battery", "theta": 0.7, "window": [0.0, 10.0]}
 
 # (command, config, flags, matrices, distinct or None)
 CASES = {
+    # 64 x 3 for the sweep and 8 x 2 for the sum rule's half steps, over
+    # 64 thermal nodes and mu
     "transport-battery-warm": (
         "transport", {"model": BATTERY, "state": {"mu": 1.0,
                                                   "temperature": 0.1}},
-        ["--grid", "64"], 15_040, 232),
+        ["--grid", "64"], 13_520, 208),
+    # 512 x 3 for the sweep and 16 x 2 for the sum rule's half steps,
+    # at one energy
     "transport-bicycle-cold": (
         "transport", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
-        1_576, None),
+        1_552, None),
     "geometry-bicycle": (
         "geometry", {"model": BICYCLE, "state": {"mu": 1.0}}, [],
         1_536, None),
@@ -70,3 +76,22 @@ def test_sample_count_stays_within_its_bound(case, tmp_path, monkeypatch):
     assert 0 < counts["matrices"] <= most
     if most_distinct is not None:
         assert counts["distinct"] <= most_distinct
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["snowplow", "battery"])
+def test_transport_report_samples_s_once(kind, temperature, monkeypatch):
+    # the sweep and the sum rule share one sample pass, hence one
+    # unitarity check
+    calls = []
+    sample_grid = PumpCycle.sample_grid
+
+    def counted(self, energies, times):
+        calls.append(np.size(times))
+        return sample_grid(self, energies, times)
+
+    monkeypatch.setattr(PumpCycle, "sample_grid", counted)
+    cycle = make_pump(ModelSpec(kind))
+    q = QuadratureSpec(n_time=32, n_energy=16)
+    transport_report(cycle, ThermalState(mu=1.0, temperature=temperature), q)
+    assert calls == [32 * 3 + 8 * 2]

@@ -15,6 +15,7 @@ import pytest
 import qpump as qp
 from qpump import classical
 from qpump.quadrature import HERMITIZATION_FLOOR
+from qpump.smatrix import _mul_h, _unitarity_defect
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -302,3 +303,45 @@ def test_hermitization_budget_scales_with_step():
     coarse = replace(Q, h_e_rel=8e-3, h_t_rel=8e-3)
     d = qp.differential_data(cyc, 1.0, 0.3, coarse)
     assert d.hermitization_residual > HERMITIZATION_FLOOR
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_entrywise_product_matches_matmul(n):
+    rng = np.random.default_rng(40 + n)
+    a, b = _complex(rng, (6, 5, n, n)), _complex(rng, (6, 5, n, n))
+    cases = [
+        (a, b),
+        (a[0, 0], b[0, 0]),                           # one matrix
+        (a[:, :1], b),                                # broadcast axis
+        (a[0], b),                                    # fewer stack axes
+        (np.broadcast_to(a[:, :1], a.shape), b),      # zero-stride axis
+        (a, np.broadcast_to(b[:1], b.shape)),
+        (a[::2, ::-1], b[1::2]),                      # negative strides
+        (a.swapaxes(-1, -2), b),                      # transposed entries
+    ]
+    for x, y in cases:
+        want = x @ y.conj().swapaxes(-1, -2)
+        got = _mul_h(x, y)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(x)) * np.max(np.abs(y))
+        assert np.max(np.abs(got - want)) <= 1e-15 * n * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitarity_defect_matches_the_broadcast_sum(n):
+    rng = np.random.default_rng(50 + n)
+    h = _complex(rng, (7, 3, n, n))
+    w, v = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
+    s = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    for stack in (s, 1.0001 * s, s + 1e-9 * h,
+                  np.broadcast_to(s[:, :1], s.shape)):
+        # reference: S S^dagger as a broadcast sum over the inner index
+        ssh = sum(stack[..., :, k, None] * stack[..., None, :, k].conj()
+                  for k in range(n))
+        want = np.max(np.abs(ssh - np.eye(n)))
+        scale = np.max(np.abs(stack)) ** 2
+        assert abs(_unitarity_defect(stack) - want) <= 1e-15 * n * scale

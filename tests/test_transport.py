@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 import qpump as qp
+from qpump.models import ModelSpec, make_pump
 from qpump.transport import _thermal_average
 
 TWO_PI = 2.0 * math.pi
@@ -226,6 +227,28 @@ def test_transport_report_is_consistent():
     assert np.all(rep.heat >= -1e-12)
     assert rep.bk_residual < 1e-8
     assert rep.charges.shape == (2,)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["snowplow", "battery", "sink",
+                                  "custom-two-channel", "bicycle"])
+def test_report_sum_rule_equals_birman_krein_residual_bit_for_bit(
+        kind, temperature, richardson):
+    # the report reads the sum rule off its sweep's samples (mu appended
+    # at finite temperature, half steps added at eight of its times) and
+    # must give the standalone residual's number at those times
+    params = {"custom-two-channel": {"theta_base": 0.7, "theta_amp": 0.3,
+                                     "alpha_amp": 0.4, "phi_amp": 1.0,
+                                     "gamma_amp": 0.2}}.get(kind, {})
+    cyc = make_pump(ModelSpec(kind, params))
+    state = qp.ThermalState(mu=1.0, temperature=temperature)
+    q = replace(Q, n_time=32, n_energy=16, richardson=richardson)
+    rep = qp.transport_report(cyc, state, q)
+    every = q.n_time // 8
+    want = qp.birman_krein_residual(cyc, state, q, rep.times[::every])
+    assert rep.bk_residual == want
+    assert 0.0 <= want < 1e-8
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.1])
