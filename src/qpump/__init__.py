@@ -30,13 +30,12 @@ from .geometry import (amplitude_winding, charge_from_global_angle,
                        row_states, spherical_polygon_area, stokes_residual,
                        surface_flux, winding_number)
 from .models import (BicycleGeometry, GalileanCheck, ModelSpec,
-                     PiecewisePotential, galilean_check, make_battery_cycle,
-                     make_bicycle_cycle, make_custom_two_channel,
-                     make_optimal_cycle, make_pulse_cycle, make_pump,
-                     make_random_analytic_cycle, make_sink_cycle,
-                     make_snowplow_cycle, make_uturn_cycle,
+                     galilean_check, make_battery_cycle, make_bicycle_cycle,
+                     make_custom_two_channel, make_optimal_cycle,
+                     make_pulse_cycle, make_pump, make_random_analytic_cycle,
+                     make_sink_cycle, make_snowplow_cycle, make_uturn_cycle,
                      reflectionless_points, smooth_step, transfer_matrices,
-                     transfer_matrix_smatrix, MODEL_KINDS)
+                     MODEL_KINDS)
 from .classical import (BatteryFieldResult, PlowSpec, ScatterResult,
                         classical_battery_shift, classical_energy_shift,
                         classical_scatter, inverse_scatter, liouville_residual,

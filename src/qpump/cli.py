@@ -182,8 +182,9 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
     window = section.get("window", [0.0, 20.0])
     _require(isinstance(window, list) and len(window) == 2
              and all(type(v) in (int, float) for v in window)
-             and window[0] < window[1],
-             "expected [start, end] with start < end", "pulse.window")
+             and 0.0 < float(window[1]) - float(window[0]) < math.inf,
+             "expected [start, end] with start < end and a finite length",
+             "pulse.window")
     t0, t1 = float(window[0]), float(window[1])
 
     params = {k: v for k, v in section.items() if k not in ("kind", "window")}

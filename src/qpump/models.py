@@ -38,7 +38,7 @@ from .transport import ThermalState, bpt_current
 
 # worst |S S^dagger - 1| accepted from a row of `transfer_matrices`
 TRANSFER_UNITARITY_TOL = 1e-9
-# b scan size, polish grid side and halvings, |r| bound and merge
+# b scan size, polish grid size and halvings, |r| bound and merge
 # distance of `reflectionless_points`
 RESONANCE_SCAN = 800
 RESONANCE_GRID = 9
@@ -82,53 +82,27 @@ def smooth_bump(t, t0: float, t1: float):
 # ---------------------------------------------------------------------------
 # piecewise-constant potentials
 
-@dataclass(frozen=True)
-class PiecewisePotential:
-    """Plateau values between consecutive breakpoints; V = 0 outside."""
-
-    edges: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.values) + 1:
-            raise ValueError("need len(edges) == len(values) + 1")
-        widths = np.diff(self.edges)
-        if len(self.values) < 1 or np.any(widths <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-
-def transfer_matrix_smatrix(potential: PiecewisePotential,
-                            energy: float) -> np.ndarray:
-    """S = [[r, t'], [t, r']] of a piecewise-constant potential at energy E.
-
-    The one-point case of `transfer_matrices`, which documents the
-    conventions and checks.
-    """
-    return transfer_matrices(np.asarray(potential.values, dtype=float)[None],
-                             np.diff(potential.edges),
-                             np.array([energy], dtype=float))[0]
-
-
 def transfer_matrices(values: np.ndarray, widths: np.ndarray,
                       energies: np.ndarray) -> np.ndarray:
     """S of P piecewise-constant potentials, one energy each: (P, 2, 2).
 
     Row p has plateau values `values[p]` (shape (P, L)) over the common
-    plateau `widths` (L,) and is taken at `energies[p]`.  Wavenumbers are
-    k_i = sqrt(2 (E - V_i)), on the branch Im k >= 0 (k = i kappa under
-    a plateau).  The S of the stack is grown from the left lead by the
-    Redheffer star product, one interface and one plateau at a time: a
-    plateau of width w multiplies t and t' by p = exp(i k w) and r' by
-    p^2, and |p| <= 1, so no factor grows and an opaque barrier goes
-    over to its analytic limit by itself (t underflows to 0, |r| -> 1).
+    plateau `widths` (L,), each positive, and is taken at `energies[p]`.
+    Wavenumbers are k_i = sqrt(2 (E - V_i)), on the branch Im k >= 0
+    (k = i kappa under a plateau).  The S of the stack is grown from the
+    left lead by the Redheffer star product, one interface and one
+    plateau at a time: a plateau of width w multiplies t and t' by
+    p = exp(i k w) and r' by p^2, and |p| <= 1, so no factor grows and an
+    opaque barrier goes over to its analytic limit by itself (t
+    underflows to 0, |r| -> 1).
     Fiducial points sit at the first and last breakpoints.  Channel 1
     is the left lead, channel 2 the right lead; every energy must exceed
     both lead potentials (zero), else EnergyAtBandEdge.  An energy within
     1e-12 of a plateau of its row is nudged by 1e-10: at k = 0 the two
     plane waves of the plateau coincide.  The stack's S is held as its
     four entries r, t, t', r', each a (P,) array, and every step is
-    elementwise arithmetic on them, so a row equals its one-point call
-    bit for bit.
+    elementwise arithmetic on them, so a row equals the same potential
+    and energy passed alone, as a batch of one row, bit for bit.
     """
     values = np.asarray(values, dtype=float)
     widths = np.asarray(widths, dtype=float)
@@ -136,6 +110,8 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
     if energies.ndim != 1 or widths.ndim != 1 \
             or values.shape != (energies.size, widths.size):
         raise ValueError("need values (P, L), widths (L,) and energies (P,)")
+    if not (widths > 0.0).all():            # NaN fails too
+        raise ValueError("plateau widths must be positive")
     if (energies <= 0.0).any():
         raise EnergyAtBandEdge("energy must be positive (leads are at V = 0)")
     near = (np.abs(energies[:, None] - values) < 1e-12).any(axis=1)
@@ -160,6 +136,10 @@ def transfer_matrices(values: np.ndarray, widths: np.ndarray,
     s = np.stack([r, tp, t, rp], axis=-1).reshape(-1, 2, 2)
     _check_unitary(s, TRANSFER_UNITARITY_TOL)
     return s
+
+
+# uncalled here; benchmarks/tracer.py binds this name (models.transfer)
+transfer_matrix_smatrix = transfer_matrices
 
 
 def _interface(ka, kb, r, t, tp, rp):
@@ -376,12 +356,12 @@ def reflectionless_points(geometry: BicycleGeometry) -> list[tuple[float, float]
     heights, so every zero of |r| sits on the symmetric line a = 1/2.
     The piston must also stay below the energy for a propagating
     resonance, which bounds b.  A fine scan in b along that line feeds
-    local minima to a two-dimensional polish: a grid of (a, b) around the
-    best point so far, +-1/4 in a and +- one scan step in b at first,
-    recentred and halved `RESONANCE_HALVINGS` times, one `smatrix` call
-    per grid.  Only polished points with |r| below `RESONANCE_TOL` are
-    returned (the resonances are narrow, width in b of order 1e-4 for
-    the default geometry).
+    local minima to a polish on the same line: a grid of b around the
+    best point so far, +- one scan step at first, recentred and halved
+    `RESONANCE_HALVINGS` times, one `smatrix` call per grid.  Only
+    polished points with |r| below `RESONANCE_TOL` are returned, each at
+    a = 1/2 exactly (the resonances are narrow, width in b of order 1e-4
+    for the default geometry).
     """
     b_max = 1.05 / 10.0
     bs = np.linspace(1e-5, b_max, RESONANCE_SCAN)
@@ -391,21 +371,18 @@ def reflectionless_points(geometry: BicycleGeometry) -> list[tuple[float, float]
              and refl[i] < 0.9]
     offsets = np.linspace(-1.0, 1.0, RESONANCE_GRID)
 
-    points: list[tuple[float, float]] = []
-    for b0 in seeds:
-        a, b, half_a, half_b = 0.5, b0, 0.25, bs[1] - bs[0]
+    found: list[float] = []
+    for b in seeds:
+        half = bs[1] - bs[0]
         for _ in range(RESONANCE_HALVINGS):
-            grid_a, grid_b = a + half_a * offsets, b + half_b * offsets
-            r = np.abs(geometry.smatrix(grid_a[:, None], grid_b, 1.0)[..., 0, 0])
-            i, j = np.unravel_index(np.argmin(r), r.shape)
-            a, b, half_a, half_b = grid_a[i], grid_b[j], half_a / 2, half_b / 2
-        if r[i, j] > RESONANCE_TOL:
+            grid = b + half * offsets
+            r = np.abs(geometry.smatrix(0.5, grid, 1.0)[:, 0, 0])
+            b, half = grid[np.argmin(r)], half / 2
+        if r.min() > RESONANCE_TOL:
             continue
-        a, b = float(a), float(b)
-        if all(math.hypot(a - a0, b - b0_) >= RESONANCE_SEPARATION
-               for a0, b0_ in points):
-            points.append((a, b))
-    return sorted(points, key=lambda p: p[1])
+        if all(abs(b - b_) >= RESONANCE_SEPARATION for b_ in found):
+            found.append(float(b))
+    return [(0.5, b) for b in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,8 @@ class PumpCycle:
         if self.period is not None and not 0.0 < self.period < math.inf:
             raise ValueError("period must be positive and finite")
         if self.window is not None \
-                and not -math.inf < self.window[0] < self.window[1] < math.inf:
-            raise ValueError("window must have finite ends and positive length")
+                and not 0.0 < self.window[1] - self.window[0] < math.inf:
+            raise ValueError("window length must be positive and finite")
 
     @property
     def time_scale(self) -> float:

@@ -64,11 +64,14 @@ class ThermalState:
     temperature: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails both tests
+        # written so that NaN fails each test
         if not 0.0 < self.mu < math.inf:
             raise ValueError("chemical potential must be positive and finite")
         if not 0.0 <= self.temperature < math.inf:
             raise ValueError("temperature must be non-negative and finite")
+        if not self.mu + ENERGY_WINDOW * self.temperature < math.inf:
+            raise ValueError(f"thermal window mu + {ENERGY_WINDOW:g} T "
+                             "overflows")
 
     @property
     def beta(self) -> float:

@@ -246,6 +246,10 @@ def test_unopenable_out_exits_2(tmp_path, capsys):
                  "travel_time > 0", id="classical"),
     pytest.param("noise", {"pulse": {"kind": "sink", "theta": 2.0}},
                  "pulse.theta: theta must lie in [0, pi/2]", id="pulse"),
+    pytest.param("noise", {"pulse": {"kind": "battery",
+                                     "window": [-0.9e308, 0.9e308]}},
+                 "pulse.window: expected [start, end] with start < end and "
+                 "a finite length", id="pulse-window-overflow"),
 ])
 def test_refusal_lines_are_pinned(tmp_path, capsys, command, cfg, line):
     path = _write(tmp_path, "cfg.json", {"model": {"kind": "battery"}, **cfg})
@@ -320,6 +324,10 @@ def test_non_finite_or_non_integral_numbers_exit_2(tmp_path, capsys,
     pytest.param("transport", ["--mu", "inf"], id="mu-inf"),
     pytest.param("transport", ["--temperature", "inf"], id="temperature-inf"),
     pytest.param("transport", ["--temperature", "nan"], id="temperature-nan"),
+    pytest.param("transport", ["--temperature", "1e307"],
+                 id="temperature-window-overflow"),
+    pytest.param("noise", ["--direct", "--temperature", "1e307"],
+                 id="noise-temperature-window-overflow"),
     pytest.param("classical", ["--points", "-5"], id="points-negative"),
     pytest.param("classical", ["--seed", "-1"], id="classical-seed-negative"),
     pytest.param("noise", ["--seed", "-1"], id="noise-seed-negative"),
@@ -351,6 +359,12 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, command, flags):
     pytest.param({"quadrature": {"n_time": 8}}, ["--mu", "2"],
                  "quadrature: n_time must be an integer >= 16",
                  id="file-n_time"),
+    pytest.param({}, ["--temperature", "1e307"],
+                 "--temperature: thermal window mu + 30 T overflows",
+                 id="temperature-window"),
+    pytest.param({"state": {"temperature": 1e307}}, ["--mu", "2"],
+                 "state: thermal window mu + 30 T overflows",
+                 id="file-temperature-window"),
 ])
 def test_flag_refusal_lines_are_pinned(tmp_path, capsys, cfg, flags, line):
     path = _write(tmp_path, "cfg.json", {"model": {"kind": "battery"}, **cfg})

@@ -1,11 +1,12 @@
 """Which modules of the package may reach which kernel.
 
 The stencil kernel is named only where it is defined, in `smatrix`,
-and in `transport`, which wraps it in `_sweep` for every other module;
-a third module that named it would be a second route to the kernel,
-and fails here.  Every counting cumulant passes its cycle through
-`counting._check_pulse`, so that is the one function there that reads
-a cycle's window.
+and in `transport`, where only `det_phase_rate` names it (`_sweep`,
+which every other module calls, builds its differences from the
+kernel's parts `_sample` and `_derivative`); a third module that named
+it would be a second route to the kernel, and fails here.  Every
+counting cumulant passes its cycle through `counting._check_pulse`, so
+that is the one function there that reads a cycle's window.
 """
 from __future__ import annotations
 

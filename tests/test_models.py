@@ -58,14 +58,19 @@ def _ode_amplitudes(v: float, width: float, e: float):
     return b / a, 1.0 / a
 
 
+def _one_row(edges, values, energy) -> np.ndarray:
+    """S of one piecewise-constant potential at one energy: a batch of
+    one row of `transfer_matrices`."""
+    return qp.transfer_matrices(np.array([values], dtype=float),
+                                np.diff(edges), np.array([energy]))[0]
+
+
 def test_transfer_matrix_against_textbook_form():
     # the returned matrix puts its outgoing reference plane at the far
     # edge, so the plane-wave t picks up exp(i k width)
     for v, width, e in ((2.0, 1.0, 1.0), (2.0, 1.0, 3.5), (0.7, 2.3, 1.9),
                         (5.0, 0.6, 0.4)):
-        pot = qp.PiecewisePotential(edges=np.array([0.0, width]),
-                                    values=np.array([v]))
-        s = qp.transfer_matrix_smatrix(pot, e)
+        s = _one_row([0.0, width], [v], e)
         r_ref, t_ref = _rect_barrier_amplitudes(v, width, e)
         k = math.sqrt(2.0 * e)
         assert abs(s[0, 0] - r_ref) < 1e-10
@@ -75,9 +80,7 @@ def test_transfer_matrix_against_textbook_form():
 
 def test_transfer_matrix_against_wave_integration():
     v, width, e = 2.0, 1.0, 1.0
-    pot = qp.PiecewisePotential(edges=np.array([0.0, width]),
-                                values=np.array([v]))
-    s = qp.transfer_matrix_smatrix(pot, e)
+    s = _one_row([0.0, width], [v], e)
     r_ode, t_ode = _ode_amplitudes(v, width, e)
     k = math.sqrt(2.0 * e)
     assert abs(s[0, 0] - r_ode) < 1e-8
@@ -90,8 +93,7 @@ def test_transfer_matrix_two_piece_composition():
     edges = np.array([0.0, 0.8, 1.5, 2.1])
     values = np.array([1.4, 0.2, 2.6])
     e = 1.1
-    pot = qp.PiecewisePotential(edges=edges, values=values)
-    s = qp.transfer_matrix_smatrix(pot, e)
+    s = _one_row(edges, values, e)
     assert np.max(np.abs(s @ s.conj().T - np.eye(2))) < 1e-9
 
     # reference: total transfer matrix assembled from scratch
@@ -121,18 +123,14 @@ def test_transfer_matrix_two_piece_composition():
 
 
 def test_transfer_matrix_opaque_and_band_edge():
-    pot = qp.PiecewisePotential(edges=np.array([0.0, 4.0]),
-                                values=np.array([400.0]))
-    s = qp.transfer_matrix_smatrix(pot, 1.0)
+    s = _one_row([0.0, 4.0], [400.0], 1.0)
     assert abs(s[1, 0]) < 1e-30           # deep tunnelling underflows to 0
     assert abs(abs(s[0, 0]) - 1.0) < 1e-10
     with pytest.raises(qp.EnergyAtBandEdge):
-        qp.transfer_matrix_smatrix(pot, 0.0)   # below the lead band
+        _one_row([0.0, 4.0], [400.0], 0.0)   # below the lead band
     # an energy pinned between two plateau values cannot be nudged free
-    twin = qp.PiecewisePotential(edges=np.array([0.0, 1.0, 2.0]),
-                                 values=np.array([1.0, 1.0 + 1e-10]))
     with pytest.raises(qp.EnergyAtBandEdge):
-        qp.transfer_matrix_smatrix(twin, 1.0)
+        _one_row([0.0, 1.0, 2.0], [1.0, 1.0 + 1e-10], 1.0)
 
 
 def test_opaque_plateau_after_a_growing_one_stays_unitary():
@@ -152,6 +150,10 @@ def test_opaque_plateau_after_a_growing_one_stays_unitary():
     assert abs(s[0, 0] - cut[0, 0]) < 1e-14
 
 
+def test_tracer_alias_is_the_batched_kernel():
+    assert models.transfer_matrix_smatrix is models.transfer_matrices
+
+
 def test_transfer_matrix_batch_rows_match_point_calls():
     # one batch over every input regime: an ordinary row, a tall row
     # (total decay about 280, t > 0 but tiny), an opaque row (total
@@ -164,9 +166,7 @@ def test_transfer_matrix_batch_rows_match_point_calls():
     s = qp.transfer_matrices(values, np.diff(edges), energies)
     assert s.shape == (4, 2, 2)
     for row, (v, e) in zip(s, rows):
-        one = qp.transfer_matrix_smatrix(
-            qp.PiecewisePotential(edges=edges, values=v), e)
-        assert np.array_equal(row, one)
+        assert np.array_equal(row, _one_row(edges, v, e))
         assert np.max(np.abs(row @ row.conj().T - np.eye(2))) < 1e-9
     assert 0.0 < abs(s[1, 1, 0]) < 1e-100
     assert s[2, 1, 0] == 0.0 and abs(abs(s[2, 0, 0]) - 1.0) < 1e-12
@@ -429,10 +429,16 @@ def test_reflectionless_points_lie_on_symmetric_line():
     assert len(pts) >= 1
     geo = qp.BicycleGeometry(length=1.0)
     for a, b in pts:
-        assert abs(a - 0.5) < 1e-6
+        assert a == 0.5
         assert 0.0 < b < 1.0
         s = geo.smatrix(a, b, 1.0)
         assert abs(s[0, 0]) < 1e-6
+
+
+def test_reflectionless_points_drop_seeds_above_the_bound(monkeypatch):
+    # with a zero |r| bound no polished seed qualifies
+    monkeypatch.setattr(models, "RESONANCE_TOL", 0.0)
+    assert qp.reflectionless_points(qp.BicycleGeometry(length=1.0)) == []
 
 
 def test_pulse_cycle_settles_to_identity():

@@ -143,6 +143,11 @@ def _with_plow_nodes(n, charge):
                  id="window-minus-inf"),
     pytest.param(lambda: qp.PumpCycle(2, _identity, window=(math.nan, 1.0)),
                  id="window-nan"),
+    pytest.param(lambda: qp.PumpCycle(2, _identity,
+                                      window=(-0.9e308, 0.9e308)),
+                 id="window-length-overflow"),
+    pytest.param(lambda: qp.ThermalState(mu=1.0, temperature=1e307),
+                 id="thermal-window-overflow"),
     pytest.param(lambda: qp.PumpCycle(2.5, _identity, period=1.0),
                  id="n_channels-2.5"),
     pytest.param(lambda: qp.PumpCycle(True, _identity, period=1.0),
@@ -192,10 +197,14 @@ _HALF_TURN = np.array([[[1.0, 0.0], [_R, -_R]], [[_R, _R], [0.0, 1.0]]])
                  ValueError, r"need a \(n, 3\) path", id="sphere-shape"),
     pytest.param(lambda: qp.spherical_polygon_area(2.0 * np.eye(3)),
                  ValueError, "unit sphere", id="sphere-off"),
-    pytest.param(lambda: qp.PiecewisePotential((0.0, 1.0), (1.0, 2.0)),
-                 ValueError, r"len\(edges\)", id="piecewise-lengths"),
-    pytest.param(lambda: qp.PiecewisePotential((0.0, 0.0, 1.0), (1.0, 2.0)),
-                 ValueError, "strictly increasing", id="piecewise-order"),
+    pytest.param(lambda: qp.transfer_matrices(np.ones((1, 2)), np.ones(1),
+                                              np.ones(1)),
+                 ValueError, r"need values \(P, L\), widths \(L,\)",
+                 id="transfer-shape"),
+    *(pytest.param(lambda w=w: qp.transfer_matrices(
+        np.ones((1, 2)), np.array([1.0, w]), np.ones(1)), ValueError,
+        "plateau widths must be positive", id=f"transfer-width-{w}")
+      for w in (0.0, -1.0, math.nan)),
     pytest.param(lambda: qp.PumpCycle(2, lambda e, t: np.eye(3), period=1.0)
                  .sample(1.0, 0.0), ValueError,
                  r"evaluate returned shape \(3, 3\), expected \(2, 2\)",

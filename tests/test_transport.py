@@ -137,6 +137,13 @@ def test_thermal_nodes_honor_odd_counts():
         assert nodes.size == weights.size == n
 
 
+def test_largest_accepted_temperature_has_finite_nodes():
+    # mu + 30 T overflows at T = 1e307, which ThermalState refuses
+    nodes, weights = qp.thermal_energy_nodes(
+        qp.ThermalState(mu=1.0, temperature=1e306), Q)
+    assert np.isfinite(nodes).all() and np.isfinite(weights).all()
+
+
 @pytest.mark.parametrize("mu, h_e_rel", [(1e-3, 1e-3), (1e-5, 1e-5)])
 def test_thermal_lower_panel_never_reaches_above_mu(mu, h_e_rel):
     # the band-bottom floor 10 h_e lies above mu here: the lower panel
