@@ -252,10 +252,15 @@ def _json_pieces(value, pad: str = ""):
 
 def write_json(payload: dict, args):
     """`json.dump(payload, sort_keys=True, indent=2)` and a newline, written
-    a line at a time: a reader that closes early then fails a write."""
+    in 8 KiB slices.  One write of the whole text to a pipe whose reader
+    closes early can return its full length with no error (seen with
+    0.5 MB and a reader that took one line), so the command would exit
+    0; a later slice raises BrokenPipeError, which `main` turns into
+    exit 1.  A slice costs far less than a write per line."""
     text = "".join(_json_pieces(payload)) + "\n"
     with _output(args) as fh:
-        fh.writelines(text.splitlines(keepends=True))
+        for i in range(0, len(text), 8192):
+            fh.write(text[i:i + 8192])
 
 
 def write_csv(meta: dict, header: list, rows, args):
@@ -321,7 +326,7 @@ def cmd_transport(args) -> int:
         header += [f"entropy_rate_{j}" for j in range(n_ch)]
         header += [f"noise_rate_{j}" for j in range(n_ch)]
         columns += [*report.entropy_rate.T, *report.noise_rate.T]
-    columns = [list(map(float, c)) for c in columns]
+    columns = [c.tolist() for c in columns]
     rows = zip(*columns)
 
     payload = {"summary": summary, "series": dict(zip(header, columns))}

@@ -223,10 +223,36 @@ def _mul_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_defect(s: np.ndarray) -> float:
-    """Worst max-norm of S S^dagger - 1 over a stack of matrices."""
+    """Worst max-norm of S S^dagger - 1 over a stack of matrices.
+
+    S S^dagger is Hermitian, so one pass over its diagonal and upper
+    triangle reads every entry's magnitude.  Row i's defect is
+    sum_k (Re^2 + Im^2) - 1 from the real and imaginary planes of S;
+    an entry i < j is sum_k s_ik conj(s_jk), formed on the whole stack
+    as `_mul_h` does.  The worst squared magnitude is reduced first and
+    rooted once.  A NaN or infinite entry of S makes its row's defect
+    NaN or inf, which is returned before the upper triangle, where inf
+    times zero would raise a RuntimeWarning."""
     s = _distinct(s)
-    return float(np.max(np.abs(_mul_h(s, s) - np.eye(s.shape[-1])),
-                        initial=0.0))
+    n = s.shape[-1]
+    squares = np.square(s.real)
+    squares += np.square(s.imag)
+    rows = squares[..., 0].copy()
+    for k in range(1, n):
+        rows += squares[..., k]
+    rows -= 1.0
+    worst = np.max(np.square(rows, out=rows), initial=0.0)
+    if not worst < math.inf:
+        return float(worst)
+    for i in range(n):
+        for j in range(i + 1, n):
+            entry = s[..., i, 0] * s[..., j, 0].conj()
+            for k in range(1, n):
+                entry += s[..., i, k] * s[..., j, k].conj()
+            entry = np.square(entry.real) + np.square(entry.imag)
+            # np.maximum, unlike Python's max, keeps a NaN from either side
+            worst = np.maximum(worst, np.max(entry, initial=0.0))
+    return math.sqrt(worst)
 
 
 def _check_unitary(s: np.ndarray, tol: float) -> None:

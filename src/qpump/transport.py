@@ -186,7 +186,9 @@ def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
     """One stencil on a `(times, weights)` grid (`cycle.time_grid(n_time)`
     by default) and the nodes of `_thermal_mass`, with mu as the last
     node: appended at finite temperature, the only one at zero.  With
-    k = `sum_rule_every` the same samples give the sum rule at times[::k]."""
+    k = `sum_rule_every` the same samples give the sum rule at times[::k];
+    its half steps are appended there, or under Richardson read from the
+    sweep's own."""
     times, weights = cycle.time_grid(q.n_time) if grid is None else grid
     times = np.ravel(np.asarray(times, dtype=float))
     energies, mass = _thermal_mass(state, q)
@@ -194,7 +196,8 @@ def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
         energies = np.append(energies, state.mu)
     ht = _steps(cycle, energies, q)[1]
     steps = _offsets(times, ht, q.richardson)
-    checked = times[::sum_rule_every] if sum_rule_every else times[:0]
+    k = sum_rule_every
+    checked = times[::k] if k and not q.richardson else times[:0]
     s = _sample(cycle, energies, np.concatenate(
         [times, *steps, *_offsets(checked, ht / 2, False)]))
     m, least = mass.size, 1.0 / cycle.time_scale
@@ -202,9 +205,10 @@ def _sweep(cycle: PumpCycle, state: ThermalState, q: QuadratureSpec,
     blocks = sweep.reshape(-1, times.size, *s.shape[1:])
     diag, rows, off = _row_weights(_derivative(blocks, ht, least)[1])
     bk = None
-    if sum_rule_every:
-        half = half.reshape(2, -1, *s.shape[1:])
-        bk = _sum_rule_residual([b[::sum_rule_every, :m] for b in blocks[:3]]
+    if k:
+        half = blocks[3:, ::k] if q.richardson \
+            else half.reshape(2, -1, *s.shape[1:])
+        bk = _sum_rule_residual([b[::k, :m] for b in blocks[:3]]
                                 + [b[:, :m] for b in half], ht, mass, least)
     return _Sweep(times=times, weights=weights,
                   charge=_thermal_average(diag[:, :m], mass) / TWO_PI,

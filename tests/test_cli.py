@@ -582,6 +582,26 @@ def test_json_writer_matches_json_dump(tmp_path, payload):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("length", [8191, 8192, 8193, 2 * 8192 + 4096])
+def test_json_writer_slices_keep_json_dump_bytes(tmp_path, capsys, length):
+    # the writer cuts its text into 8 KiB slices; these texts end just
+    # before, at and just past one slice, and the last spans three
+    series = np.linspace(-1.0, 1.0, 600).tolist() if length > 8193 else []
+    pad = json.dumps({"pad": "", "series": series}, sort_keys=True, indent=2)
+    payload = {"pad": "x" * (length - len(pad) - 1), "series": series}
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    want = ref.read_bytes()
+    assert len(want) == length
+    out = tmp_path / "out.json"
+    cli.write_json(payload, argparse.Namespace(out=str(out)))
+    assert out.read_bytes() == want
+    cli.write_json(payload, argparse.Namespace(out="-"))
+    assert capsys.readouterr().out.encode() == want
+
+
 @pytest.mark.parametrize("argv", [
     ["models-list", "--format", "json"],
     ["transport", "--grid", "16", "--temperature", "0.1"],

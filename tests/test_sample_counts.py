@@ -95,3 +95,25 @@ def test_transport_report_samples_s_once(kind, temperature, monkeypatch):
     q = QuadratureSpec(n_time=32, n_energy=16)
     transport_report(cycle, ThermalState(mu=1.0, temperature=temperature), q)
     assert calls == [32 * 3 + 8 * 2]
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["snowplow", "battery"])
+def test_richardson_report_samples_each_time_once(kind, temperature,
+                                                  monkeypatch):
+    # under Richardson the sweep already samples t +- h_t / 2, so the sum
+    # rule reads those and asks for no second copy
+    calls = []
+    sample_grid = PumpCycle.sample_grid
+
+    def counted(self, energies, times):
+        calls.append(np.array(times))
+        return sample_grid(self, energies, times)
+
+    monkeypatch.setattr(PumpCycle, "sample_grid", counted)
+    cycle = make_pump(ModelSpec(kind))
+    q = QuadratureSpec(n_time=32, n_energy=16, richardson=True)
+    transport_report(cycle, ThermalState(mu=1.0, temperature=temperature), q)
+    assert len(calls) == 1
+    assert calls[0].size == 32 * 5
+    assert np.unique(calls[0]).size == calls[0].size

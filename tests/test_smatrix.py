@@ -14,8 +14,8 @@ import pytest
 
 import qpump as qp
 from qpump import classical
-from qpump.quadrature import HERMITIZATION_FLOOR
-from qpump.smatrix import _mul_h, _unitarity_defect
+from qpump.quadrature import HERMITIZATION_FLOOR, UNITARITY_TOL
+from qpump.smatrix import _check_unitary, _mul_h, _unitarity_defect
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -347,10 +347,47 @@ def test_unitarity_defect_matches_the_broadcast_sum(n):
     w, v = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
     s = (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     for stack in (s, 1.0001 * s, s + 1e-9 * h,
-                  np.broadcast_to(s[:, :1], s.shape)):
+                  np.broadcast_to(s[:, :1], s.shape),
+                  (s + 1e-9 * h)[::-2, ::-1, ::-1]):    # negative strides
         # reference: S S^dagger as a broadcast sum over the inner index
         ssh = sum(stack[..., :, k, None] * stack[..., None, :, k].conj()
                   for k in range(n))
         want = np.max(np.abs(ssh - np.eye(n)))
         scale = np.max(np.abs(stack)) ** 2
         assert abs(_unitarity_defect(stack) - want) <= 1e-15 * n * scale
+
+
+def _unitaries(rng, count, n):
+    h = _complex(rng, (count, n, n))
+    w, v = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unit_rows_that_are_not_orthogonal_are_refused(n):
+    # every row keeps unit norm, so only the entries off the diagonal of
+    # S S^dagger see the overlap
+    stack = _unitaries(np.random.default_rng(60 + n), 9, n)
+    for a, b in np.ndindex(n, n):
+        if a == b:
+            continue
+        s = stack.copy()
+        row = s[4, b] + 1e-6 * s[4, a]
+        s[4, b] = row / np.linalg.norm(row)
+        assert np.max(np.abs(np.linalg.norm(s, axis=-1) - 1.0)) < 1e-14
+        with pytest.raises(qp.NonUnitary, match="unitarity defect 1.0"):
+            _check_unitary(s, UNITARITY_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_is_refused(n, bad):
+    # the identity's zeros would meet an inf in the products above the
+    # diagonal; the pytest settings turn a RuntimeWarning into an error
+    for unitary in (_unitaries(np.random.default_rng(70 + n), 5, n),
+                    np.broadcast_to(np.eye(n, dtype=complex), (5, n, n))):
+        for i, j in np.ndindex(n, n):
+            s = unitary.copy()
+            s[2, i, j] = bad
+            with pytest.raises(qp.NonUnitary):
+                _check_unitary(s, UNITARITY_TOL)
