@@ -194,9 +194,10 @@ def build_pulse(cfg: dict, seed: int) -> PumpCycle:
         _require(p["n_channels"] >= 1, "need at least one channel",
                  "pulse.n_channels")
         _count(p["seed"], "pulse.seed")
-        return models.make_pulse_cycle(
-            p["n_channels"], np.random.default_rng(p["seed"]),
-            window=(t0, t1), amplitude=p["amplitude"])
+        return _make(models.make_pulse_cycle, "pulse.amplitude",
+                     {"n_channels": p["n_channels"],
+                      "rng": np.random.default_rng(p["seed"]),
+                      "window": (t0, t1), "amplitude": p["amplitude"]})
 
     maker, angle = models._SWEPT_ANGLE[kind]
     p = _read(params, "pulse", _PULSE_KINDS[kind], theta=0.9,

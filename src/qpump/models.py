@@ -18,7 +18,8 @@ bicycle pump (two valve barriers seesawing around a piston plateau) is
 the workhorse example of quantized transport.  Its S, too, is
 implemented only as `evaluate_grid`: its path and the kernel each run
 once per grid, on arrays.  So are the random cycles and pulses, one
-batched `eigh` per grid: every built-in cycle implements S once, as a grid.
+scaling and squaring of exp(i H) per grid: every built-in cycle
+implements S once, as a grid.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import EnergyAtBandEdge
 from .quadrature import TWO_PI, QuadratureSpec
 from .smatrix import (PumpCycle, TwoChannelParams, _check_unitary,
-                      build_two_channel, default_dispersion, point_evaluator,
-                      two_channel_matrices)
+                      _mul_front, build_two_channel, default_dispersion,
+                      point_evaluator, two_channel_matrices)
 from .transport import ThermalState, bpt_current
 
 # worst |S S^dagger - 1| accepted from a row of `transfer_matrices`
@@ -45,6 +46,11 @@ RESONANCE_GRID = 9
 RESONANCE_HALVINGS = 48
 RESONANCE_TOL = 1e-6
 RESONANCE_SEPARATION = 1e-3
+# Taylor degree of `_unitary_exp` and the Frobenius norm its scaling
+# reaches; 1 / k! for k up to the degree
+EXP_DEGREE = 14
+EXP_NORM_BOUND = 0.5
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(EXP_DEGREE + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +400,61 @@ def _random_hermitian(rng: np.random.Generator, n: int, scale: float) -> np.ndar
 
 
 def _unitary_exp(h: np.ndarray) -> np.ndarray:
-    """exp(i H) of a stack of Hermitian matrices, shape (..., n, n)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    """exp(i H) of a stack of Hermitian matrices, shape (..., n, n).
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)) on
+    the whole stack, matrix axes in front: A = i H is scaled by 2^-s,
+    s >= 0 the least that brings its own Frobenius norm to at most
+    EXP_NORM_BOUND; the Taylor polynomial of degree EXP_DEGREE takes six
+    products by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)), in
+    blocks of I, A and A^2 with Horner in A^3; the stack is squared
+    max(s) times, each matrix keeping the square while its own s lasts.
+    The truncation error is below 0.5^15 / 15! < 3e-17, and rounding
+    grows like ||H|| (at most 1e-15 (1 + ||H||) against scipy's `expm`
+    for n <= 6, ||H|| <= 1e3).  A matrix gives the same bits alone as
+    in any stack, and H = 0 gives the identity exactly.  Arrays of the
+    stack's size are made once and written in place: a fresh page costs
+    a fault, which on large stacks outweighs the arithmetic.
+    """
+    n = h.shape[-1]
+    flat = h.reshape(-1, n, n)
+    a = np.empty((n, n, flat.shape[0]), dtype=complex)
+    np.multiply(flat.transpose(1, 2, 0), 1j, out=a)
+    tmp = np.empty_like(a)
+    squares = np.square(a.real, out=tmp.real)
+    squares += np.square(a.imag, out=tmp.imag)
+    squares = squares.reshape(n * n, -1)
+    norm = squares[0].copy()
+    for row in squares[1:]:
+        norm += row
+    s = np.maximum(np.frexp(np.sqrt(norm) / EXP_NORM_BOUND)[1], 0)
+    a *= np.ldexp(1.0, -s)
+
+    # A^3 is read only by Horner, so it lives in the result's memory
+    result = np.empty(h.shape, dtype=complex)
+    powers = [a, _mul_front(a, a, np.empty_like(a), tmp)]
+    step = _mul_front(powers[1], a, result.reshape(a.shape), tmp)
+    x, out = np.zeros_like(a), np.empty_like(a)
+
+    def add_block(x: np.ndarray, j: int) -> np.ndarray:
+        # x + sum_k c_{3j+k} A^k, k = 0, 1, 2
+        c = _TAYLOR[3 * j:3 * j + 3]
+        for coeff, power in zip(c[1:], powers):
+            x += np.multiply(power, coeff, out=tmp)
+        x.reshape(n * n, -1)[::n + 1] += c[0]
+        return x
+
+    blocks = EXP_DEGREE // 3 + 1
+    x = add_block(x, blocks - 1)
+    for j in range(blocks - 2, -1, -1):
+        x, out = add_block(_mul_front(x, step, out, tmp), j), x
+    # past ||H|| ~ 1e15 the rounding error outgrows 1 and squaring can
+    # overflow; the unitarity checks downstream refuse what comes out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, int(s.max(initial=0)) + 1):
+            np.copyto(x, _mul_front(x, x, out, tmp), where=s >= r)
+    result.reshape(-1, n, n)[...] = x.transpose(2, 0, 1)
+    return result
 
 
 class _FourierHermitian:
@@ -452,12 +510,19 @@ def make_pulse_cycle(n_channels: int, rng: np.random.Generator,
     """Random energy-independent pulse: S = identity outside the window.
 
     Two constant Hermitian generators under staggered C-infinity bump
-    envelopes; all derivatives vanish at the window edges.
+    envelopes; all derivatives vanish at the window edges.  ValueError
+    if the generators, or the squared norm `_unitary_exp` reads, are not
+    finite (|amplitude| beyond about 1e153, or NaN).
     """
     t0, t1 = window
     span = t1 - t0
-    g1 = _random_hermitian(rng, n_channels, amplitude)
-    g2 = _random_hermitian(rng, n_channels, amplitude / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = _random_hermitian(rng, n_channels, amplitude)
+        g2 = _random_hermitian(rng, n_channels, amplitude / 2.0)
+        # H = w1 g1 + w2 g2 with 0 <= w1, w2 <= 1
+        bound = (np.linalg.norm(g1) + np.linalg.norm(g2)) ** 2
+    if not math.isfinite(bound):
+        raise ValueError(f"amplitude {amplitude:g} overflows the generators")
     bumps = ((t0, t1), (t0 + 0.25 * span, t1 - 0.1 * span))
 
     def evaluate_grid(energies: np.ndarray, times: np.ndarray) -> np.ndarray:

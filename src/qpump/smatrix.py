@@ -222,6 +222,21 @@ def _mul_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
+def _mul_front(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """a @ b over stacks with the matrix axes in front, shape (n, n, ...),
+    written to `out`; `tmp`, of the same shape, is scratch, and neither
+    may overlap a or b.  One broadcast product per inner index, so the
+    numpy calls grow like n, where `_mul_h` makes 2 n^3; the caller's
+    buffers spare the page faults of fresh arrays on large stacks.  Each
+    matrix is formed on its own."""
+    np.multiply(a[:, :1], b[:1], out=out)
+    for k in range(1, a.shape[1]):
+        np.multiply(a[:, k:k + 1], b[k:k + 1], out=tmp)
+        out += tmp
+    return out
+
+
 def _unitarity_defect(s: np.ndarray) -> float:
     """Worst max-norm of S S^dagger - 1 over a stack of matrices.
 
@@ -230,18 +245,20 @@ def _unitarity_defect(s: np.ndarray) -> float:
     sum_k (Re^2 + Im^2) - 1 from the real and imaginary planes of S;
     an entry i < j is sum_k s_ik conj(s_jk), formed on the whole stack
     as `_mul_h` does.  The worst squared magnitude is reduced first and
-    rooted once.  A NaN or infinite entry of S makes its row's defect
-    NaN or inf, which is returned before the upper triangle, where inf
-    times zero would raise a RuntimeWarning."""
+    rooted once.  A NaN or infinite entry of S, or one whose square
+    overflows, makes its row's defect NaN or inf, which is returned
+    before the upper triangle, where inf times zero would raise a
+    RuntimeWarning."""
     s = _distinct(s)
     n = s.shape[-1]
-    squares = np.square(s.real)
-    squares += np.square(s.imag)
-    rows = squares[..., 0].copy()
-    for k in range(1, n):
-        rows += squares[..., k]
-    rows -= 1.0
-    worst = np.max(np.square(rows, out=rows), initial=0.0)
+    with np.errstate(over="ignore"):        # an entry past 1e77: inf
+        squares = np.square(s.real)
+        squares += np.square(s.imag)
+        rows = squares[..., 0].copy()
+        for k in range(1, n):
+            rows += squares[..., k]
+        rows -= 1.0
+        worst = np.max(np.square(rows, out=rows), initial=0.0)
     if not worst < math.inf:
         return float(worst)
     for i in range(n):

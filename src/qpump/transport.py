@@ -154,11 +154,19 @@ def _thermal_average(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
 def _row_weights(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal, squared row norm and off-diagonal row weight of Hermitian
     energy-shift matrices, shape (..., n, n), from the distinct ones; C
-    order, which `_thermal_average` reads several times faster."""
+    order, which `_thermal_average` reads several times faster.  The row
+    norms sum Re^2 + Im^2 column by column, as `_unitarity_defect` does,
+    in the memory order of the shift; the C copies are made before the
+    off-diagonal weight, so that it is formed in C order too."""
     d = _distinct(shift)
-    diag = np.real(np.diagonal(d, axis1=-2, axis2=-1))
-    rows = np.sum(np.abs(d) ** 2, axis=-1)
-    return tuple(np.broadcast_to(np.ascontiguousarray(a), shift.shape[:-1])
+    squares = np.square(d.real)
+    squares += np.square(d.imag)
+    rows = squares[..., 0].copy(order="K")
+    for k in range(1, d.shape[-1]):
+        rows += squares[..., k]
+    diag, rows = (np.ascontiguousarray(a) for a in
+                  (np.real(np.diagonal(d, axis1=-2, axis2=-1)), rows))
+    return tuple(np.broadcast_to(a, shift.shape[:-1])
                  for a in (diag, rows, rows - diag ** 2))
 
 

@@ -250,6 +250,9 @@ def test_unopenable_out_exits_2(tmp_path, capsys):
                                      "window": [-0.9e308, 0.9e308]}},
                  "pulse.window: expected [start, end] with start < end and "
                  "a finite length", id="pulse-window-overflow"),
+    pytest.param("noise", {"pulse": {"kind": "random", "amplitude": 1e308}},
+                 "pulse.amplitude: amplitude 1e+308 overflows the generators",
+                 id="pulse-amplitude-overflow"),
 ])
 def test_refusal_lines_are_pinned(tmp_path, capsys, command, cfg, line):
     path = _write(tmp_path, "cfg.json", {"model": {"kind": "battery"}, **cfg})

@@ -17,7 +17,10 @@ from scipy.integrate import solve_ivp
 
 import qpump as qp
 from qpump import cli, models
+from qpump.errors import NonUnitary
 from qpump.models import bicycle_path, smooth_bump, smooth_step
+from qpump.quadrature import UNITARITY_TOL
+from qpump.smatrix import _check_unitary
 
 TWO_PI = 2.0 * math.pi
 Q = qp.QuadratureSpec()
@@ -448,6 +451,52 @@ def test_pulse_cycle_settles_to_identity():
         assert np.max(np.abs(cyc.evaluate(1.0, t) - np.eye(3))) < 1e-12
     mid = cyc.evaluate(1.0, 10.0)
     assert np.max(np.abs(mid - np.eye(3))) > 1e-3
+
+
+@pytest.mark.parametrize("amplitude", [1e308, -1e200, math.nan])
+def test_pulse_amplitude_that_overflows_the_generators_is_refused(amplitude):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows the generators"):
+            qp.make_pulse_cycle(2, np.random.default_rng(1),
+                                amplitude=amplitude)
+
+
+@pytest.mark.parametrize("amplitude", [1e18, 1e20])
+def test_pulse_past_double_precision_is_refused_without_warnings(amplitude):
+    # exp(i H) has no correct digit here: squaring takes entries to 1e144
+    # (1e18), whose squares overflow in the unitarity check, or past the
+    # double range (1e20)
+    cycle = qp.make_pulse_cycle(2, np.random.default_rng(1),
+                                amplitude=amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = cycle.sample_grid([1.0], np.linspace(0.0, 20.0, 33))
+        with pytest.raises(NonUnitary):
+            _check_unitary(s, UNITARITY_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_unitary_exp_matches_expm_and_is_unitary(n):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(100 + n)
+    scales = np.array([0.0, 1e-9, 1e-3, 0.3, 1.0, 7.0, 60.0, 1e3])
+    for shape in [(len(scales),), (len(scales), 3)]:
+        a = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+        h = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        h /= np.linalg.norm(h, 2, axis=(-2, -1))[..., None, None]
+        h *= scales.reshape((-1,) + (1,) * (h.ndim - 1))
+        s = models._unitary_exp(h)
+        assert s.shape == h.shape
+        bound = 1e-14 * (1.0 + np.linalg.norm(h, 2, axis=(-2, -1)))
+        ref = np.array([expm(1j * m) for m in h.reshape(-1, n, n)])
+        err = np.abs(s - ref.reshape(h.shape)).max(axis=(-2, -1))
+        assert (err <= bound).all(), (err / bound).max()
+        gram = s @ s.conj().swapaxes(-1, -2) - np.eye(n)
+        assert (np.abs(gram).max(axis=(-2, -1)) <= bound).all()
+        # H = 0 gives the identity exactly (zero_energy_flat relies on it)
+        assert np.array_equal(s[0], np.broadcast_to(np.eye(n), s[0].shape))
 
 
 def _step_reference(t: float, t0: float, t1: float) -> float:

@@ -18,12 +18,17 @@ A change that moves answers in the last digits compares numerically:
 
     python3 tools/cli_outputs.py --compare /tmp/before /tmp/after
 
-lists each differing file with the worst relative difference of its
-differing floats, |a - b| / max(|a|, |b|, 1e-300), the line where it
-sits, the two floats there and their absolute difference |a - b|.  It
-exits 1 when a file is missing on one side, a file's lines or tokens do
-not pair up, any token other than a float differs, or a float differs
-by more than 1e-14 relative.
+accepts a float that moved by at most 1e-14 relative to itself,
+|a - b| / max(|a|, |b|), or by at most 1e-14 of the largest magnitude
+among the floats of its file (both sides), so that a value which is zero
+up to roundoff, say a charge of -8e-13 summed from rates of order 0.1,
+may move in its last digits too.  Each differing file is listed with
+its worst float: the one that misses its better rule by most.  The line
+gives its relative difference, the line where it sits, the two floats
+there, their absolute difference and that difference over the file's
+largest magnitude, and which rule it passes.  The tool exits 1 when a
+file is missing on one side, a file's lines or tokens do not pair up,
+any token other than a float differs, or a float passes neither rule.
 
 The package and the workloads are imported from the tree this file sits
 in, so a checkout older than this file can run a copy of it placed in
@@ -59,7 +64,8 @@ REFUSALS = (
      {"classical": {"height": 1.0, "speed": 0.01}, "state": {"mu": 0.995}},
      ["classical", "--points", "50"]),
 )
-# largest relative difference of a float that --compare accepts
+# largest difference of a float that --compare accepts, relative to the
+# float or to the largest float magnitude of its file
 FLOAT_RTOL = 1e-14
 # splits JSON, CSV and selfcheck text into value tokens
 SEPARATORS = re.compile(r"""[\s,:=\[\]{}()"]+""")
@@ -76,22 +82,28 @@ def _float(token: str) -> float | None:
         return None
 
 
-def _relative(a: float, b: float) -> float:
+def _relative(a: float, b: float, scale: float) -> float:
+    """|a - b| / scale; 0 for equal floats, inf when one is not finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return abs(a - b) / max(scale, 1e-300)
 
 
-def compare_file(before: Path,
-                 after: Path) -> tuple[float, int, float, float] | str:
-    """(worst relative float difference, its line, the float before and
-    after), or what does not pair."""
+def compare_file(before: Path, after: Path) \
+        -> tuple[float, float, int, float, float, float] | str:
+    """(relative difference, difference over the file's largest
+    magnitude, line, the float before and after, that magnitude) of the
+    float that misses its better rule by most, or what does not pair."""
     old, new = (p.read_text().splitlines() for p in (before, after))
     if len(old) != len(new):
         return f"{len(old)} lines against {len(new)}"
-    worst = (0.0, 0, 0.0, 0.0)
+    values = (_float(token) for line in old + new
+              for token in SEPARATORS.split(line))
+    scale = max((abs(v) for v in values if v is not None and math.isfinite(v)),
+                default=0.0)
+    worst = (0.0, 0.0, 0, 0.0, 0.0, scale)
     for number, (a, b) in enumerate(zip(old, new), start=1):
         if a == b:
             continue
@@ -104,7 +116,9 @@ def compare_file(before: Path,
             fx, fy = _float(x), _float(y)
             if fx is None or fy is None:
                 return f"line {number}: {x!r} against {y!r}"
-            worst = max(worst, (_relative(fx, fy), number, fx, fy))
+            found = (_relative(fx, fy, max(abs(fx), abs(fy))),
+                     _relative(fx, fy, scale), number, fx, fy, scale)
+            worst = max(worst, found, key=lambda w: min(w[:2]))
     return worst
 
 
@@ -125,14 +139,21 @@ def compare(before: Path, after: Path) -> int:
         if isinstance(result, str):
             failed = True
             print(f"{name}: structure differs: {result}")
+            continue
+        rel, of_scale, line, x, y, scale = result
+        if rel <= FLOAT_RTOL:
+            verdict = "passes the relative rule"
+        elif of_scale <= FLOAT_RTOL:
+            verdict = "passes the absolute rule"
         else:
-            rel, line, x, y = result
-            failed |= rel > FLOAT_RTOL
-            print(f"{name}: worst relative difference {rel:.3g} "
-                  f"(line {line}: {x!r} against {y!r}, "
-                  f"absolute {abs(x - y):.3g})")
+            verdict, failed = "passes neither rule", True
+        print(f"{name}: worst relative difference {rel:.3g} "
+              f"(line {line}: {x!r} against {y!r}, absolute "
+              f"{abs(x - y):.3g}, {of_scale:.3g} of the file's largest "
+              f"magnitude {scale:.3g}): {verdict}")
     print(f"{differing} of {len(names)} files differ; "
-          f"{'FAIL' if failed else 'ok'} at relative {FLOAT_RTOL:g}")
+          f"{'FAIL' if failed else 'ok'} at {FLOAT_RTOL:g} relative to the "
+          f"float or to its file's largest magnitude")
     return 1 if failed else 0
 
 
